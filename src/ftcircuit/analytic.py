@@ -16,39 +16,51 @@ from dataclasses import dataclass
 from .numerics import bisect, binom_tail, golden_max, golden_min, log_binom_tail
 
 
-def _check_domain(depth: int, eps_p: float, delta: float):
+def check_depth(depth: int):
     if depth < 2 or depth % 2 != 0:
         raise ValueError(f"EC depth must be even and >= 2, got {depth}")
-    if not 0.0 <= eps_p < 0.5:
-        raise ValueError(f"eps_p must be in [0, 1/2), got {eps_p}")
-    if not 0.0 <= delta < 0.5:
-        raise ValueError(f"delta must be in [0, 1/2), got {delta}")
 
 
-def _noisy_either(e: float, eps_p: float) -> float:
-    # NAND output wrong if either input wrong (inputs encode 1), then flip
+def check_rate(name: str, value: float):
+    if not 0.0 <= value < 0.5:
+        raise ValueError(f"{name} must be in [0, 1/2), got {value}")
+
+
+def computation_error(e: float, eps_p: float) -> float:
+    """Per-wire error after a noisy NAND layer whose inputs encode 1 and
+    are each wrong with probability e: either wrong input corrupts the
+    output, which then flips with probability eps_p."""
     return eps_p + (1.0 - 2.0 * eps_p) * (2.0 * e - e * e)
 
 
-def _noisy_both(e: float, eps_p: float) -> float:
-    # NAND output wrong only if both inputs wrong (inputs encode 0)
-    return eps_p + (1.0 - 2.0 * eps_p) * e * e
+def ec_error(depth: int, eps_p: float, e: float) -> float:
+    """Per-wire error after the D layers of a fan-out-1 error-correction
+    block fed wires that encode 0 and are each wrong with probability e.
+
+    The encoded value alternates layer to layer: a layer fed encoded 0
+    needs both inputs wrong, a layer fed encoded 1 is a computation
+    layer.
+    """
+    for k in range(1, depth + 1):
+        if k % 2 == 1:
+            e = eps_p + (1.0 - 2.0 * eps_p) * e * e
+        else:
+            e = computation_error(e, eps_p)
+    return e
 
 
 def stage_error(depth: int, eps_p: float, delta: float) -> float:
     """Worst-case per-wire error f(delta) after one computation NAND and
     D error-correction layers.
 
-    The signal alternates encoded value layer to layer: the computation
-    layer sees the worst case (both inputs encode 1, either wrong input
-    corrupts the output), the first EC layer sees encoded 0 (both inputs
-    must be wrong), and so on.
+    The computation layer sees the worst case (both inputs encode 1,
+    either wrong input corrupts the output); the EC block then starts
+    from encoded 0.
     """
-    _check_domain(depth, eps_p, delta)
-    e = _noisy_either(delta, eps_p)
-    for k in range(1, depth + 1):
-        e = _noisy_both(e, eps_p) if k % 2 == 1 else _noisy_either(e, eps_p)
-    return e
+    check_depth(depth)
+    check_rate("eps_p", eps_p)
+    check_rate("delta", delta)
+    return ec_error(depth, eps_p, computation_error(delta, eps_p))
 
 
 def stage_error_depth2_closed_form(eps_p: float, delta: float) -> float:
@@ -77,7 +89,8 @@ def fixed_points(depth: int, eps_p: float, tol: float = 1e-10) -> AmplificationW
     Returns exists=False when f lies above the identity on all of
     (0, 1/2), i.e. eps_p is at or above the pseudothreshold.
     """
-    _check_domain(depth, eps_p, 0.0)
+    check_depth(depth)
+    check_rate("eps_p", eps_p)
     gap = lambda d: stage_error(depth, eps_p, d) - d
     d_min, g_min = golden_min(gap, 0.0, 0.5 - 1e-12, tol=1e-12)
     if g_min > 0.0:
@@ -89,7 +102,7 @@ def fixed_points(depth: int, eps_p: float, tol: float = 1e-10) -> AmplificationW
 
 def pseudothreshold(depth: int, tol: float = 1e-7) -> float:
     """Largest eps_p for which the amplification window exists."""
-    _check_domain(depth, 0.0, 0.0)
+    check_depth(depth)
 
     def window_gap(eps_p: float) -> float:
         gap = lambda d: stage_error(depth, eps_p, d) - d
@@ -113,9 +126,19 @@ def optimal_fiducial(depth: int, eps_p: float) -> float:
     return golden_max(coeff, window.delta_lo, window.delta_hi, tol=1e-8)[0]
 
 
-def _wrong_threshold(n: int, delta: float) -> int:
-    """Wrong-wire count at which a bundle stops encoding: ceil(delta*n);
-    a bundle with wrong count r encodes iff r < delta*n."""
+def resolve_delta(depth: int, eps_p: float, delta) -> float:
+    """delta as a float; "optimal" (or None) selects optimal_fiducial."""
+    if delta is None or delta == "optimal":
+        return optimal_fiducial(depth, eps_p)
+    return float(delta)
+
+
+def failure_threshold(n: int, delta: float | None) -> int:
+    """Wrong-wire count at which a bundle stops encoding: majority (more
+    wrong than right) when delta is None, else ceil(delta * n); a bundle
+    with wrong count r encodes iff r < delta * n."""
+    if delta is None:
+        return n // 2 + 1
     return max(math.ceil(delta * n), 1)
 
 
@@ -133,7 +156,7 @@ def logical_error_formula(n: int, depth: int, eps_p: float,
             f"delta={delta} is outside the amplification window; "
             "the signal is not amplified")
     f = stage_error(depth, eps_p, delta)
-    exact = binom_tail(n, f, _wrong_threshold(n, delta))
+    exact = binom_tail(n, f, failure_threshold(n, delta))
     z = math.sqrt(n) * (delta - f) / math.sqrt(f * (1.0 - f))
     normal = 0.5 * math.erfc(z / math.sqrt(2.0))
     return exact, normal
@@ -143,7 +166,7 @@ def log10_logical_error(n: int, depth: int, eps_p: float, delta: float) -> float
     """log10 of the exact formula logical error; stays finite far below
     float underflow."""
     f = stage_error(depth, eps_p, delta)
-    return log_binom_tail(n, f, _wrong_threshold(n, delta)) / math.log(10.0)
+    return log_binom_tail(n, f, failure_threshold(n, delta)) / math.log(10.0)
 
 
 @dataclass(frozen=True)

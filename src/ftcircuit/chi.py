@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import analytic
-from .noisy import (circuit_logical_error, failure_threshold,
-                    formula_wrong_count_distribution, tail_probability)
+from .analytic import failure_threshold, resolve_delta
+from .noisy import (circuit_logical_error, formula_wrong_count_distribution,
+                    tail_probability)
 from .numerics import ols_fit
 from .transform import FtParams, WIRING_OFFSET_DOUBLING
 
@@ -76,12 +76,6 @@ def fit_effective_slope(points) -> SlopeFit:
     return SlopeFit(slope, intercept, r2, tuple(rows))
 
 
-def _resolve_delta(depth: int, eps_p: float, delta) -> float:
-    if delta == "optimal" or delta is None:
-        return analytic.optimal_fiducial(depth, eps_p)
-    return float(delta)
-
-
 def estimate_chi(depth: int, eps_p: float, delta="optimal",
                  n_range=DEFAULT_N_RANGE, method: str = "auto",
                  variant: str = "circuit",
@@ -95,7 +89,7 @@ def estimate_chi(depth: int, eps_p: float, delta="optimal",
     law with the matching per-wire tree error rate.  variant "formula"
     measures the fan-out-1 expansion instead (chi = 1 check).
     """
-    d = _resolve_delta(depth, eps_p, delta)
+    d = resolve_delta(depth, eps_p, delta)
     ns = sorted(set(int(n) for n in n_range))
     if any(n % 2 == 0 for n in ns):
         raise ValueError("n_range must contain odd code sizes")

@@ -3,14 +3,13 @@ run emitting JSON (scalars, summaries) or CSV (sweeps).
 
 Each output embeds a metadata header echoing the full configuration,
 the package version, and the seed, sufficient to re-run the job.  With
-a fixed seed and one thread, outputs are byte-identical across runs.
+a fixed seed, outputs are byte-identical across runs.
 """
 from __future__ import annotations
 
 import argparse
 import io
 import json
-import os
 import sys
 
 from . import __version__, analytic, chi as chi_mod, noisy, resource, transform
@@ -23,13 +22,21 @@ def _metadata(args: argparse.Namespace, command: str) -> dict:
     return {"command": command, "version": __version__, "params": params}
 
 
-def _dump_json(payload: dict, output: str | None):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write(text: str, output: str | None):
     if output:
         with open(output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _json_command(handler):
+    """A command printing handler(args) as JSON under a metadata block."""
+    def run(args: argparse.Namespace):
+        payload = {"meta": _metadata(args, args.command), **handler(args)}
+        _write(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+               args.output)
+    return run
 
 
 def _dump_csv(meta: dict, header: list[str], rows, output: str | None):
@@ -38,12 +45,7 @@ def _dump_csv(meta: dict, header: list[str], rows, output: str | None):
     buf.write(",".join(header) + "\n")
     for row in rows:
         buf.write(",".join(_fmt(v) for v in row) + "\n")
-    text = buf.getvalue()
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(buf.getvalue(), output)
 
 
 def _fmt(v) -> str:
@@ -82,20 +84,19 @@ def cmd_threshold(args) -> dict:
     return {"pseudothreshold": analytic.pseudothreshold(args.depth)}
 
 
-def cmd_chi(args, output: str | None):
+def cmd_chi(args) -> dict:
     variant = "formula" if args.formula else "circuit"
     est = chi_mod.estimate_chi(
         args.depth, args.eps_p, args.delta, _parse_n_range(args.n_range),
         method=args.method, variant=variant, wiring=args.wiring,
         samples=args.samples, seed=args.seed)
-    meta = _metadata(args, "chi")
     rows = [(n, eps_l, lo, hi, args.method)
             for n, eps_l, lo, hi in est.circuit_fit.points]
     if args.csv:
-        _dump_csv(meta, ["n", "eps_l", "ci_low", "ci_high", "method"],
+        _dump_csv(_metadata(args, "chi"),
+                  ["n", "eps_l", "ci_low", "ci_high", "method"],
                   rows, args.csv)
-    summary = {
-        "meta": meta,
+    return {
         "chi": est.chi,
         "chi_ci": [est.ci_low, est.ci_high],
         "circuit_slope": est.circuit_slope,
@@ -103,10 +104,9 @@ def cmd_chi(args, output: str | None):
         "r_squared": est.circuit_fit.r_squared,
         "points": [list(r) for r in rows],
     }
-    _dump_json(summary, output)
 
 
-def cmd_build(args, output: str | None):
+def cmd_build(args):
     params = transform.FtParams(args.n, args.depth)
     if args.netlist:
         with open(args.netlist) as fh:
@@ -116,12 +116,7 @@ def cmd_build(args, output: str | None):
         raise SystemExit(f"error: unsupported gate label: {args.gate}")
     else:
         built = transform.build_ft_gadget(transform.NAND, params, args.wiring)
-    text = built.serialize()
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(built.serialize(), args.output)
 
 
 def cmd_simulate(args) -> dict:
@@ -134,15 +129,9 @@ def cmd_simulate(args) -> dict:
     return est.to_record(params)
 
 
-def _resolve_delta(args) -> float:
-    if args.delta is None or args.delta == "optimal":
-        return analytic.optimal_fiducial(args.depth, args.eps_p)
-    return float(args.delta)
-
-
 def cmd_overhead(args) -> dict:
     model = _tail_model(args)
-    delta = _resolve_delta(args)
+    delta = analytic.resolve_delta(args.depth, args.eps_p, args.delta)
     report = resource.overhead_ratio(model, args.eps_l, args.eps_p, delta,
                                      args.depth, args.chi)
     return {
@@ -172,7 +161,7 @@ def _parse_axis(spec: str) -> tuple[str, list[float]]:
     return name, values
 
 
-def cmd_phase(args, output: str | None):
+def cmd_phase(args):
     model = _tail_model(args)
     axis1, values1 = _parse_axis(args.axis1)
     axis2, values2 = _parse_axis(args.axis2)
@@ -187,18 +176,29 @@ def cmd_phase(args, output: str | None):
                          grid.eta_asymptotic[i][j], grid.regime[i][j]))
     _dump_csv(_metadata(args, "phase"),
               ["axis1", "axis2", "eta_exact", "eta_asymptotic", "regime"],
-              rows, output)
+              rows, args.output)
     if args.contour:
         _dump_csv(_metadata(args, "phase-contour"), ["axis1", "axis2"],
                   grid.contour, args.contour)
 
 
-def _add_common(p: argparse.ArgumentParser):
+class _ConfigAction(argparse.Action):
+    """Make the JSON object in the named file the defaults of the keys
+    this command knows; main then parses again, so explicit flags win."""
+
+    def __call__(self, parser, namespace, path, option_string=None):
+        with open(path) as fh:
+            config = json.load(fh)
+        parser.set_defaults(**{k: v for k, v in config.items()
+                               if k != "func" and hasattr(namespace, k)})
+        setattr(namespace, self.dest, path)
+
+
+def _add_common(p: argparse.ArgumentParser, func):
     p.add_argument("--output", help="write results here instead of stdout")
-    p.add_argument("--config", help="JSON file of defaults overriding flags")
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("FT_THREADS", "1")),
-                   help="worker count (outputs deterministic at 1)")
+    p.add_argument("--config", action=_ConfigAction,
+                   help="JSON file presetting optional flags")
+    p.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,13 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
                        "optimal fiducial, code-size coefficient")
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--eps-p", type=float, required=True)
-    _add_common(p)
-    p.set_defaults(func="analyze")
+    _add_common(p, _json_command(cmd_analyze))
 
     p = sub.add_parser("threshold", help="pseudothreshold for a depth")
     p.add_argument("--depth", type=int, default=2)
-    _add_common(p)
-    p.set_defaults(func="threshold")
+    _add_common(p, _json_command(cmd_threshold))
 
     p = sub.add_parser("chi", help="estimate the independency chi")
     p.add_argument("--depth", type=int, default=2)
@@ -234,8 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", help="also write the per-n points as CSV here")
-    _add_common(p)
-    p.set_defaults(func="chi")
+    _add_common(p, _json_command(cmd_chi))
 
     p = sub.add_parser("build", help="emit a fault-tolerant netlist")
     p.add_argument("--n", type=int, required=True)
@@ -244,8 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--netlist", help="transform this base netlist instead "
                    "of emitting a single gadget")
     p.add_argument("--wiring", default=transform.WIRING_OFFSET_DOUBLING)
-    _add_common(p)
-    p.set_defaults(func="build")
+    _add_common(p, cmd_build)
 
     p = sub.add_parser("simulate", help="logical error of one gadget stage")
     p.add_argument("--n", type=int, required=True)
@@ -262,8 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wiring", default=transform.WIRING_OFFSET_DOUBLING)
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(func="simulate")
+    _add_common(p, _json_command(cmd_simulate))
 
     p = sub.add_parser("overhead", help="resource overhead eta at a point")
     p.add_argument("--tail", required=True,
@@ -277,8 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", default="optimal")
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--chi", type=float, default=0.47)
-    _add_common(p)
-    p.set_defaults(func="overhead")
+    _add_common(p, _json_command(cmd_overhead))
 
     p = sub.add_parser("phase", help="eta over a 2-parameter grid (CSV)")
     p.add_argument("--tail", required=True,
@@ -294,41 +288,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--chi", type=float, default=0.47)
     p.add_argument("--contour", help="write eta=1 contour points here")
-    _add_common(p)
-    p.set_defaults(func="phase")
+    _add_common(p, cmd_phase)
 
     return parser
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    if "--config" in argv:
-        with open(argv[argv.index("--config") + 1]) as fh:
-            config = json.load(fh)
-        for p in parser._subparsers._group_actions[0].choices.values():
-            known = {a.dest for a in p._actions}
-            p.set_defaults(**{k: v for k, v in config.items() if k in known})
-    args = parser.parse_args(argv)
     try:
-        if args.func == "analyze":
-            _dump_json({"meta": _metadata(args, "analyze"),
-                        **cmd_analyze(args)}, args.output)
-        elif args.func == "threshold":
-            _dump_json({"meta": _metadata(args, "threshold"),
-                        **cmd_threshold(args)}, args.output)
-        elif args.func == "chi":
-            cmd_chi(args, args.output)
-        elif args.func == "build":
-            cmd_build(args, args.output)
-        elif args.func == "simulate":
-            _dump_json({"meta": _metadata(args, "simulate"),
-                        **cmd_simulate(args)}, args.output)
-        elif args.func == "overhead":
-            _dump_json({"meta": _metadata(args, "overhead"),
-                        **cmd_overhead(args)}, args.output)
-        elif args.func == "phase":
-            cmd_phase(args, args.output)
+        args = parser.parse_args(argv)
+        if args.config:
+            # the first pass made the file's values the command's defaults
+            args = parser.parse_args(argv)
+        args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -7,8 +7,9 @@ indicator vector of one n-wire bundle (2^n states).  A NAND layer whose
 inputs all encode 1 corrupts its output when either input is wrong; a
 layer whose inputs encode 0 needs both.  Deterministic layers are
 pushforwards of the state distribution; i.i.d. output noise is an XOR
-convolution, applied in the Walsh-Hadamard domain where it is a
-diagonal factor (1 - 2 eps)^popcount.
+convolution, applied one wire at a time as the positive mixture
+p <- (1 - eps) p + eps p[wire flipped], so that small tails keep their
+relative accuracy.
 """
 from __future__ import annotations
 
@@ -18,10 +19,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .circuit import Circuit, CircuitError, Gate
-from .numerics import binom_tail, wilson_interval
+from .analytic import (check_rate, computation_error, ec_error,
+                       failure_threshold, stage_error)
+from .circuit import Circuit, CircuitError
+from .numerics import binom_pmf, wilson_interval
 from .transform import (FtParams, WIRING_OFFSET_DOUBLING, WIRING_SHARED,
-                        WIRING_UNIT, _layer_offset)
+                        _layer_offset, require_nand)
 
 EXACT_ENGINE_CAP = 15
 
@@ -72,17 +75,11 @@ class LayeredNoisyNetwork:
     eps_p: float
     input_error: float
     reference: dict[str, int]
-    layers: tuple[tuple[Gate, ...], ...] = field(init=False, repr=False)
     reference_values: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.eps_p < 0.5:
-            raise ValueError(f"eps_p must be in [0, 1/2), got {self.eps_p}")
-        if not 0.0 <= self.input_error < 0.5:
-            raise ValueError(
-                f"input_error must be in [0, 1/2), got {self.input_error}")
-        layers = tuple(tuple(l) for l in self.circuit.topological_layers())
-        object.__setattr__(self, "layers", layers)
+        check_rate("eps_p", self.eps_p)
+        check_rate("input_error", self.input_error)
         object.__setattr__(self, "reference_values",
                            self.circuit.evaluate_all(self.reference))
 
@@ -135,28 +132,19 @@ def tree_error_marginals(net: LayeredNoisyNetwork) -> dict[str, float]:
 # exact joint engine over one n-wire bundle
 
 
-def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
-    h = 1
-    size = a.shape[0]
-    while h < size:
-        a = a.reshape(-1, 2, h)
-        top = a[:, 0, :].copy()
-        a[:, 0, :] = top + a[:, 1, :]
-        a[:, 1, :] = top - a[:, 1, :]
-        a = a.reshape(size)
-        h *= 2
-    return a
+def _state_size(n: int) -> int:
+    if n > EXACT_ENGINE_CAP:
+        raise ExactEngineError(
+            f"exact engine caps at n={EXACT_ENGINE_CAP}, got {n}; "
+            "use Monte Carlo")
+    return 1 << n
 
 
 class BundleState:
     """Joint distribution of the wrong-bit vector of an n-wire bundle."""
 
     def __init__(self, n: int, probs: np.ndarray):
-        if n > EXACT_ENGINE_CAP:
-            raise ExactEngineError(
-                f"exact engine caps at n={EXACT_ENGINE_CAP}, got {n}; "
-                "use Monte Carlo")
-        if probs.shape != (1 << n,):
+        if probs.shape != (_state_size(n),):
             raise ValueError("state size mismatch")
         self.n = n
         self.probs = probs
@@ -168,32 +156,27 @@ class BundleState:
 
     @classmethod
     def iid(cls, n: int, p_wrong: float) -> "BundleState":
-        if n > EXACT_ENGINE_CAP:
-            raise ExactEngineError(
-                f"exact engine caps at n={EXACT_ENGINE_CAP}, got {n}; "
-                "use Monte Carlo")
-        idx = np.arange(1 << n, dtype=np.int64)
-        pop = np.zeros(1 << n, dtype=np.int64)
-        for k in range(n):
-            pop += (idx >> k) & 1
+        """Every wire wrong independently with probability p_wrong."""
+        state = cls(n, np.empty(_state_size(n)))
+        pop = state._popcount
         if p_wrong <= 0.0:
-            probs = np.where(pop == 0, 1.0, 0.0)
+            state.probs = np.where(pop == 0, 1.0, 0.0)
         elif p_wrong >= 1.0:
-            probs = np.where(pop == n, 1.0, 0.0)
+            state.probs = np.where(pop == n, 1.0, 0.0)
         else:
-            probs = np.exp(pop * math.log(p_wrong)
-                           + (n - pop) * math.log1p(-p_wrong))
-        return cls(n, probs)
+            state.probs = np.exp(pop * math.log(p_wrong)
+                                 + (n - pop) * math.log1p(-p_wrong))
+        return state
 
     def apply_noise(self, eps_p: float):
-        """XOR-convolve with i.i.d. Bernoulli(eps_p) flips on every wire."""
+        """XOR-convolve with i.i.d. Bernoulli(eps_p) flips on every wire:
+        for each wire k, p <- (1 - eps_p) p + eps_p p[k flipped]."""
         if eps_p == 0.0:
             return
-        spectrum = (1.0 - 2.0 * eps_p) ** self._popcount
-        hat = _walsh_hadamard(self.probs.copy())
-        hat *= spectrum
-        self.probs = _walsh_hadamard(hat) / (1 << self.n)
-        np.maximum(self.probs, 0.0, out=self.probs)
+        for k in range(self.n):
+            axes = self.probs.reshape(-1, 2, 1 << k)
+            self.probs = ((1.0 - eps_p) * axes
+                          + eps_p * axes[:, ::-1, :]).reshape(-1)
 
     def apply_wiring_layer(self, offsets: tuple[tuple[int, int], ...],
                            rule: str):
@@ -296,8 +279,7 @@ def exact_stage_error(params: FtParams, block: str = "gadget",
 
     # inputs to the first computation layer encode 1 (NAND worst case);
     # its outputs are i.i.d., so the joint state starts as a product
-    e_comp = eps_p + (1.0 - 2.0 * eps_p) * (2.0 * delta - delta * delta)
-    state = BundleState.iid(n, e_comp)
+    state = BundleState.iid(n, computation_error(delta, eps_p))
     comp_rule = EITHER
     for stage in range(stages):
         if stage > 0:
@@ -312,39 +294,16 @@ def exact_stage_error(params: FtParams, block: str = "gadget",
 def formula_stage_error_rate(params: FtParams, block: str = "gadget") -> float:
     """Per-wire error of the fan-out-1 (tree) variant of a block, where
     every wire is independent; the wrong-count law is then binomial."""
-    eps_p, delta, depth = params.eps_p, params.delta, params.depth
     if block == "gadget":
-        e = eps_p + (1.0 - 2.0 * eps_p) * (2.0 * delta - delta * delta)
-        rule = BOTH
-    elif block == "ec":
-        e = delta
-        rule = BOTH
-    else:
-        raise ValueError(f"unknown block kind: {block}")
-    for _ in range(depth):
-        if rule == BOTH:
-            e = eps_p + (1.0 - 2.0 * eps_p) * e * e
-        else:
-            e = eps_p + (1.0 - 2.0 * eps_p) * (2.0 * e - e * e)
-        rule = EITHER if rule == BOTH else BOTH
-    return e
+        return stage_error(params.depth, params.eps_p, params.delta)
+    if block == "ec":
+        return ec_error(params.depth, params.eps_p, params.delta)
+    raise ValueError(f"unknown block kind: {block}")
 
 
 def formula_wrong_count_distribution(params: FtParams,
                                      block: str = "gadget") -> np.ndarray:
-    n = params.n
-    e = formula_stage_error_rate(params, block)
-    ks = np.arange(n + 1)
-    from scipy.stats import binom
-    return binom.pmf(ks, n, e)
-
-
-def failure_threshold(n: int, delta: float | None) -> int:
-    """Wrong-count threshold for logical failure: majority (more wrong
-    than right) when delta is None, else ceil(delta * n)."""
-    if delta is None:
-        return n // 2 + 1
-    return max(math.ceil(delta * n), 1)
+    return binom_pmf(params.n, formula_stage_error_rate(params, block))
 
 
 def tail_probability(dist: np.ndarray, threshold: int) -> float:
@@ -360,21 +319,24 @@ def monte_carlo_logical_error(net: LayeredNoisyNetwork,
                               samples: int, seed: int,
                               batch_size: int = 1 << 20) -> ErrorEstimate:
     """Forward-sample the network and estimate the probability that the
-    wrong-output count reaches the failure threshold.
+    wrong-output count reaches the failure threshold.  Every gate must be
+    a NAND (CircuitError otherwise).
 
     Bit-reproducible for a fixed seed (single threaded); the 95% CI is
     the Wilson score interval.
     """
     if samples < 10_000:
         raise ValueError(f"need >= 10^4 samples, got {samples}")
-    rng = np.random.default_rng(seed)
     circuit = net.circuit
+    order = circuit.topological_order
+    for g in order:
+        require_nand(g.label)
+    rng = np.random.default_rng(seed)
     ref = net.reference_values
     n_out = len(circuit.outputs)
     threshold = failure_threshold(n_out, delta_threshold)
     failures = 0
     remaining = samples
-    order = circuit.topological_order
     while remaining > 0:
         m = min(batch_size, remaining)
         remaining -= m

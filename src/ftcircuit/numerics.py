@@ -1,6 +1,6 @@
-"""Shared numerical routines: log-space binomial tails, bracketing root
-finders, golden-section optimization, Wilson confidence intervals, and an
-inverse complementary error function.
+"""Shared numerical routines: binomial pmfs and log-space tails,
+bracketing root finders, golden-section optimization, Wilson confidence
+intervals, and an inverse complementary error function.
 
 Root finders are bracketing throughout: robustness is preferred over
 iteration count at the problem sizes involved here.
@@ -30,10 +30,22 @@ def log_binom_tail(n: int, p: float, k: int) -> float:
         return -math.inf
     if p >= 1.0:
         return 0.0
-    ks = np.arange(k, n + 1)
-    terms = (gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)
-             + ks * math.log(p) + (n - ks) * math.log1p(-p))
-    return float(logsumexp(terms))
+    return float(logsumexp(_log_binom_terms(n, p, np.arange(k, n + 1))))
+
+
+def _log_binom_terms(n: int, p: float, ks: np.ndarray) -> np.ndarray:
+    """log Pr[Binomial(n, p) = k] for each k in ks, for 0 < p < 1."""
+    return (gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)
+            + ks * math.log(p) + (n - ks) * math.log1p(-p))
+
+
+def binom_pmf(n: int, p: float) -> np.ndarray:
+    """Pr[Binomial(n, p) = k] for k = 0..n; a point mass at p = 0 or 1."""
+    if p <= 0.0 or p >= 1.0:
+        pmf = np.zeros(n + 1)
+        pmf[n if p >= 1.0 else 0] = 1.0
+        return pmf
+    return np.exp(_log_binom_terms(n, p, np.arange(n + 1)))
 
 
 def binom_tail(n: int, p: float, k: int) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import analytic
 from .numerics import inverse_erfc
@@ -70,6 +70,11 @@ class TailModel:
         if self.kind == GAUSSIAN:
             return math.sqrt(2.0) * self.sigma * self.A
         return self.A * self.beta
+
+
+def _w_p(t: TailModel) -> float:
+    """The model's w_p, 1 (one scale unit) when unset."""
+    return t.w_p if t.w_p is not None else 1.0
 
 
 def error_from_signal(t: TailModel, r: float) -> float:
@@ -144,7 +149,7 @@ class OverheadReport:
 
 def _tail_factor(t: TailModel, eps_l: float) -> float:
     """W_P / W(eps_l) in units where w_p is relative to the model scale."""
-    w_p = t.w_p if t.w_p is not None else 1.0
+    w_p = _w_p(t)
     if t.kind != PARETO:
         return w_p / _unit_resource(t, eps_l)
     _check_reachable(t, eps_l)
@@ -161,8 +166,7 @@ def asymptotic_overhead(t: TailModel, eps_l: float, eps_p: float,
     coeff = analytic.code_size_coefficient(depth, eps_p, delta)
     construction = (depth + 1) * coeff / chi
     if t.kind == EXPONENTIAL:
-        w_p = t.w_p if t.w_p is not None else 1.0
-        return w_p * construction
+        return _w_p(t) * construction
     return _tail_factor(t, eps_l) * construction * math.log(1.0 / eps_l)
 
 
@@ -182,7 +186,7 @@ def overhead_ratio(t: TailModel, eps_l: float, eps_p: float, delta: float,
         raise ValueError(
             f"need 0 < eps_l < eps_p, got eps_l={eps_l}, eps_p={eps_p}")
     size = analytic.required_code_size(eps_l, depth, eps_p, delta)
-    w_p = t.w_p if t.w_p is not None else 1.0
+    w_p = _w_p(t)
     w_l = resource_tradeoff(t, eps_l) / t.scale
     eta_number = (depth + 1) * size.n / chi
     eta_exact = (w_p / w_l) * eta_number
@@ -235,10 +239,9 @@ def phase_grid(t: TailModel, axis1: str, values1, axis2: str, values2,
     delta_cache: dict[float, float] = {}
 
     def delta_for(eps_p: float) -> float:
-        if delta_spec != "optimal":
-            return float(delta_spec)
         if eps_p not in delta_cache:
-            delta_cache[eps_p] = analytic.optimal_fiducial(depth, eps_p)
+            delta_cache[eps_p] = analytic.resolve_delta(depth, eps_p,
+                                                        delta_spec)
         return delta_cache[eps_p]
 
     exact_rows, asym_rows, regime_rows = [], [], []
@@ -252,9 +255,9 @@ def phase_grid(t: TailModel, axis1: str, values1, axis2: str, values2,
             eps_l = float(point["eps_l"])
             model = t
             if "w_p" in point:
-                model = dataclass_replace(model, w_p=float(point["w_p"]))
+                model = replace(model, w_p=float(point["w_p"]))
             if "gamma" in point and model.kind == PARETO:
-                model = dataclass_replace(model, gamma=float(point["gamma"]))
+                model = replace(model, gamma=float(point["gamma"]))
             if eps_p >= threshold or eps_l >= eps_p:
                 exact_row.append(math.nan)
                 asym_row.append(math.nan)
@@ -273,11 +276,6 @@ def phase_grid(t: TailModel, axis1: str, values1, axis2: str, values2,
     return PhaseGrid(axis1, axis2, tuple(float(v) for v in values1),
                      tuple(float(v) for v in values2), tuple(exact_rows),
                      tuple(asym_rows), tuple(regime_rows), tuple(contour))
-
-
-def dataclass_replace(t: TailModel, **changes) -> TailModel:
-    from dataclasses import replace
-    return replace(t, **changes)
 
 
 def _extract_contour(values1, values2, grid) -> list[tuple[float, float]]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .analytic import check_depth, check_rate
 from .circuit import NAND, Circuit, CircuitError, Gate, GateLabel, serialize_circuit
 
 Bundle = tuple[str, ...]
@@ -38,16 +39,16 @@ class FtParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"code size must be >= 1, got {self.n}")
-        _check_depth(self.depth)
-        if not 0.0 <= self.eps_p < 0.5:
-            raise ValueError(f"eps_p must be in [0, 1/2), got {self.eps_p}")
-        if not 0.0 <= self.delta < 0.5:
-            raise ValueError(f"delta must be in [0, 1/2), got {self.delta}")
+        check_depth(self.depth)
+        check_rate("eps_p", self.eps_p)
+        check_rate("delta", self.delta)
 
 
-def _check_depth(depth: int):
-    if depth < 2 or depth % 2 != 0:
-        raise ValueError(f"EC depth must be even and >= 2, got {depth}")
+def require_nand(label: GateLabel):
+    """The construction, and the noisy engines built on it, model NAND
+    gates only."""
+    if label != NAND:
+        raise CircuitError(f"unsupported gate label: {label.name}")
 
 
 def encode_bit(bit: int, n: int) -> tuple[int, ...]:
@@ -93,7 +94,7 @@ def build_majority_ec_circuit(n: int, depth: int,
     """
     if n < 1:
         raise ValueError(f"code size must be >= 1, got {n}")
-    _check_depth(depth)
+    check_depth(depth)
     inputs = [f"x{i}" for i in range(n)]
     prev = list(inputs)
     gates = _ec_gates(n, depth, prev, "m", wiring)
@@ -103,7 +104,7 @@ def build_majority_ec_circuit(n: int, depth: int,
 def build_majority_ec_formula(depth: int) -> Circuit:
     """The depth-D majority restoration formula: a full binary NAND tree
     with 2**D leaves and 2**D - 1 gates, fan-out 1 everywhere."""
-    _check_depth(depth)
+    check_depth(depth)
     inputs = [f"x{i}" for i in range(1 << depth)]
     gates = []
     prev = list(inputs)
@@ -136,8 +137,7 @@ def build_ft_gadget(label: GateLabel, params: FtParams,
     """The fault-tolerant NAND gadget: n computation gates (gate i reads
     wire i of each input bundle) followed by the depth-D EC circuit;
     (D + 1) * n gates in total."""
-    if label is not NAND and label != NAND:
-        raise CircuitError(f"unsupported gate label: {label.name}")
+    require_nand(label)
     n, depth = params.n, params.depth
     bundle_a = tuple(f"a{i}" for i in range(n))
     bundle_b = tuple(f"b{i}" for i in range(n))
@@ -212,8 +212,7 @@ def apply_ft_construction(circuit: Circuit, params: FtParams,
 
     gates: list[Gate] = []
     for g in circuit.topological_order:
-        if g.label != NAND:
-            raise CircuitError(f"unsupported gate label: {g.label.name}")
+        require_nand(g.label)
         src_a, src_b = (bundles[w] for w in g.inputs)
         comp = []
         for i in range(n):

@@ -142,6 +142,32 @@ def test_config_file_overrides(capsys, tmp_path):
                                                                abs=1e-4)
 
 
+def test_config_file_equals_form(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"depth": 4}))
+    _, out, _ = run_cli(capsys, "threshold", f"--config={cfg}")
+    assert json.loads(out)["pseudothreshold"] == pytest.approx(0.02515,
+                                                               abs=1e-4)
+
+
+def test_explicit_flag_beats_config_file(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"depth": 4}))
+    for argv in (["--depth", "2", "--config", str(cfg)],
+                 ["--config", str(cfg), "--depth", "2"]):
+        _, out, _ = run_cli(capsys, "threshold", *argv)
+        assert json.loads(out)["pseudothreshold"] == pytest.approx(
+            0.01077, abs=1e-4)
+
+
+def test_unparsable_threads_variable_is_harmless(capsys, monkeypatch):
+    # the CLI reads no thread-count variable; it runs single threaded
+    monkeypatch.setenv("FT_THREADS", "abc")
+    code, out, _ = run_cli(capsys, "threshold", "--depth", "2")
+    assert code == 0
+    assert "threads" not in json.loads(out)["meta"]["params"]
+
+
 def test_output_file(capsys, tmp_path):
     path = tmp_path / "out.json"
     code, out, _ = run_cli(capsys, "analyze", "--depth", "2",

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+import ftcircuit
 from ftcircuit import noisy
-from ftcircuit.circuit import parse_circuit
+from ftcircuit.circuit import CircuitError, GateLabel, parse_circuit
 from ftcircuit.noisy import (BundleState, ErrorEstimate, ExactEngineError,
                              circuit_logical_error, exact_stage_error,
                              failure_threshold, formula_wrong_count_distribution,
@@ -20,6 +26,18 @@ def test_single_gate_network_error_rate():
                          reference={"a": 1, "b": 1})
     est = monte_carlo_logical_error(net, None, samples=200_000, seed=1)
     assert est.ci_low <= 0.02 <= est.ci_high
+
+
+def test_monte_carlo_rejects_non_nand_labels():
+    # the sampler evaluates NAND only; an AND gate must not be simulated
+    # as one (that returns about 0.99 where the error is 0.01)
+    and_label = GateLabel("AND", 2, (0, 0, 0, 1))
+    c = parse_circuit("in a\nin b\ng AND a b\nout g\n",
+                      labels={"NAND": NAND, "AND": and_label})
+    net = induce_network(c, eps_p=0.01, input_error=0.0,
+                         reference={"a": 1, "b": 1})
+    with pytest.raises(CircuitError, match="AND"):
+        monte_carlo_logical_error(net, None, samples=10_000, seed=0)
 
 
 def test_network_validation():
@@ -184,3 +202,63 @@ def test_error_estimate_record():
 def test_error_estimate_invariants():
     with pytest.raises(ValueError):
         ErrorEstimate(0.5, 0.6, 0.7, "exact")
+
+
+def _fraction_gadget_tail(n, depth, eps_p, delta):
+    """Majority-failure probability of the offset-doubling gadget, pushed
+    forward in exact rational arithmetic from the definitions: product
+    input law, EC wiring, and the XOR convolution with i.i.d. flips."""
+    eps, d = Fraction(eps_p), Fraction(delta)
+
+    def weight(bits, p):
+        k = bin(bits).count("1")
+        return p ** k * (1 - p) ** (n - k)
+
+    # computation layer: inputs encode 1, either wrong input corrupts
+    e = eps + (1 - 2 * eps) * (2 * d - d * d)
+    probs = [weight(s, e) for s in range(1 << n)]
+    both = True  # the first EC layer reads encoded 0
+    for layer in range(1, depth + 1):
+        off = (1 << (layer - 1)) % n
+        wired = [Fraction(0)] * (1 << n)
+        for s, p in enumerate(probs):
+            t = 0
+            for i in range(n):
+                a, b = (s >> i) & 1, (s >> ((i - off) % n)) & 1
+                t |= (a & b if both else a | b) << i
+            wired[t] += p
+        probs = [sum(wired[s ^ f] * weight(f, eps) for f in range(1 << n))
+                 for s in range(1 << n)]
+        both = not both
+    return sum(p for s, p in enumerate(probs)
+               if bin(s).count("1") > n // 2)
+
+
+def test_exact_engine_deep_tail_matches_fraction_oracle():
+    n, depth, eps_p, delta = 5, 2, 1e-6, 1e-5
+    want = float(_fraction_gadget_tail(n, depth, eps_p, delta))
+    got = circuit_logical_error(FtParams(n, depth, eps_p, delta),
+                                method="exact").mean
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_formula_distribution_noiseless_edge():
+    for block in ("gadget", "ec"):
+        dist = formula_wrong_count_distribution(FtParams(5, 2, 0.0, 0.0),
+                                                block)
+        assert dist.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    est = circuit_logical_error(FtParams(5, 2, 0.0, 0.0), variant="formula")
+    assert est.mean == 0.0
+
+
+def test_formula_chi_leaves_scipy_stats_unimported():
+    src = os.path.dirname(os.path.dirname(ftcircuit.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, ftcircuit\n"
+            "ftcircuit.estimate_chi(2, 0.005, variant='formula')\n"
+            "print('scipy.stats' in sys.modules)\n")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "False"
