@@ -165,14 +165,18 @@ def logical_error_formula(n: int, depth: int, eps_p: float,
 def log10_logical_error(n: int, depth: int, eps_p: float, delta: float) -> float:
     """log10 of the exact formula logical error; stays finite far below
     float underflow."""
-    f = stage_error(depth, eps_p, delta)
+    return _log10_tail(n, stage_error(depth, eps_p, delta), delta)
+
+
+def _log10_tail(n: int, f: float, delta: float) -> float:
     return log_binom_tail(n, f, failure_threshold(n, delta)) / math.log(10.0)
 
 
 @dataclass(frozen=True)
 class CodeSizeResult:
-    """Smallest odd code size reaching a target logical error, with the
-    leading coefficient of its ln(1/eps_l) asymptotic."""
+    """Odd code size reaching a target logical error (see
+    required_code_size), with the leading coefficient of its
+    ln(1/eps_l) asymptotic."""
 
     n: int
     coefficient: float
@@ -185,24 +189,53 @@ def code_size_coefficient(depth: int, eps_p: float, delta: float) -> float:
     return 2.0 * f * (1.0 - f) / (f - delta) ** 2
 
 
+def _run_end(n: int, delta: float, step: int) -> int:
+    """The odd code size farthest from n in the direction of step (+2 or
+    -2) whose failure threshold k is still n's; failure_threshold never
+    falls as n grows, so the sizes between share k too."""
+    k = failure_threshold(n, delta)
+    # start from the real bounds (k - 1)/delta < m <= k/delta; the
+    # float product in failure_threshold settles the last bit
+    if step > 0:
+        m = max(n, (int(k / delta) - 1) | 1)
+    else:
+        m = min(n, int((k - 1) / delta) | 1)
+    while failure_threshold(m, delta) != k:
+        m -= step
+    while m + step >= 1 and failure_threshold(m + step, delta) == k:
+        m += step
+    return m
+
+
 def required_code_size(eps_l_target: float, depth: int, eps_p: float,
                        delta: float) -> CodeSizeResult:
-    """Smallest odd n whose exact formula logical error is <= the target."""
+    """Odd code size n, found from the guess coeff * ln(1/eps_l), whose
+    exact formula logical error tail(n) is at or below the target while
+    tail(n - 2) is above it (or n = 1).
+
+    The tail is a sawtooth in n: it rises while k = ceil(delta n) holds
+    still and drops at each step of k, so several n can qualify.  The
+    search walks down from the guess (made odd) while tail(n - 2)
+    passes, then up until tail(n) passes, and returns the n where it
+    stops.  Within a run of odd n sharing k the tail rises with n, so a
+    passing n vouches for every smaller n of its run and a failing n for
+    every larger one: the walk crosses one threshold run per tail
+    evaluation and stops where a step-by-step walk would.
+    """
     if not 0.0 < eps_l_target < 1.0:
         raise ValueError(f"target must be in (0, 1), got {eps_l_target}")
     log10_target = math.log10(eps_l_target)
     coeff = code_size_coefficient(depth, eps_p, delta)
     # validates the window once; per-n evaluation then uses the log form
     logical_error_formula(1, depth, eps_p, delta)
+    f = stage_error(depth, eps_p, delta)
 
-    guess = max(1, int(coeff * math.log(1.0 / eps_l_target)))
-    n = guess if guess % 2 == 1 else guess + 1
-    while n > 1 and log10_logical_error(n - 2, depth, eps_p, delta) <= log10_target:
-        n -= 2
-    while log10_logical_error(n, depth, eps_p, delta) > log10_target:
-        n += 2
-    achieved = 10.0 ** log10_logical_error(n, depth, eps_p, delta)
-    return CodeSizeResult(n, coeff, achieved)
+    n = max(1, int(coeff * math.log(1.0 / eps_l_target))) | 1
+    while n > 1 and _log10_tail(n - 2, f, delta) <= log10_target:
+        n = _run_end(n - 2, delta, -2)
+    while (log10_tail := _log10_tail(n, f, delta)) > log10_target:
+        n = _run_end(n, delta, 2) + 2
+    return CodeSizeResult(n, coeff, 10.0 ** log10_tail)
 
 
 def number_overhead(eps_l: float, eps_p: float, delta: float, depth: int,

@@ -20,7 +20,10 @@ def log_binom_tail(n: int, p: float, k: int) -> float:
     """log of Pr[Binomial(n, p) >= k], summed in log space.
 
     Accurate down to tails around exp(-700) per term; returns -inf for
-    p = 0 with k > 0.
+    p = 0 with k > 0.  Above the mode only the terms that count are
+    summed: the ratio r of consecutive terms falls from k on, so the
+    terms past k + 1 + (39.2 + ln(1/(1-r)))/(-ln r) total less than
+    1e-17 of the term at k.
     """
     if k <= 0:
         return 0.0
@@ -30,7 +33,15 @@ def log_binom_tail(n: int, p: float, k: int) -> float:
         return -math.inf
     if p >= 1.0:
         return 0.0
-    return float(logsumexp(_log_binom_terms(n, p, np.arange(k, n + 1))))
+    r = (n - k) / (k + 1) * (p / (1.0 - p))
+    if r >= 1.0:
+        last = n
+    elif r == 0.0:
+        last = k
+    else:
+        last = min(n, k + 1 + math.ceil((39.2 - math.log1p(-r))
+                                        / -math.log(r)))
+    return float(logsumexp(_log_binom_terms(n, p, np.arange(k, last + 1))))
 
 
 def _log_binom_terms(n: int, p: float, ks: np.ndarray) -> np.ndarray:
@@ -56,7 +67,11 @@ def binom_tail(n: int, p: float, k: int) -> float:
 def bisect(f: Callable[[float], float], lo: float, hi: float,
            tol: float = 1e-10, max_iter: int = 200) -> float:
     """Root of f on [lo, hi] by bisection; f(lo) and f(hi) must differ
-    in sign (zero endpoints count as roots)."""
+    in sign (zero endpoints count as roots).
+
+    Raises RuntimeError when max_iter halvings leave the bracket wider
+    than tol.
+    """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
         return lo
@@ -73,6 +88,10 @@ def bisect(f: Callable[[float], float], lo: float, hi: float,
             hi = mid
         else:
             lo, flo = mid, fm
+    if hi - lo > tol:
+        raise RuntimeError(
+            f"bisection did not narrow [{lo}, {hi}] to tol={tol} in "
+            f"{max_iter} iterations")
     return 0.5 * (lo + hi)
 
 

@@ -174,18 +174,30 @@ def overhead_ratio(t: TailModel, eps_l: float, eps_p: float, delta: float,
                    depth: int, chi: float) -> OverheadReport:
     """Exact and asymptotic resource overhead eta at one operating point.
 
-    Exact uses the minimal odd code size for the target and exact W
-    ratios; asymptotic uses the closed forms.  w_p on the model is
-    interpreted in units of the model scale (alpha*A etc.), matching the
-    constants-ratio convention W_P/(alpha A), W_P/(sqrt(2) sigma A),
-    W_P/(A beta).
+    Exact uses the code size of analytic.required_code_size for the
+    target and exact W ratios; asymptotic uses the closed forms.  w_p on
+    the model is interpreted in units of the model scale (alpha*A etc.),
+    matching the constants-ratio convention W_P/(alpha A),
+    W_P/(sqrt(2) sigma A), W_P/(A beta).
     """
+    _check_operating_point(eps_l, eps_p, chi)
+    size = analytic.required_code_size(eps_l, depth, eps_p, delta)
+    return _overhead_report(t, eps_l, eps_p, delta, depth, chi, size)
+
+
+def _check_operating_point(eps_l: float, eps_p: float, chi: float):
     if not 0.0 < chi <= 1.0:
         raise ValueError(f"chi must be in (0, 1], got {chi}")
     if not 0.0 < eps_l < eps_p:
         raise ValueError(
             f"need 0 < eps_l < eps_p, got eps_l={eps_l}, eps_p={eps_p}")
-    size = analytic.required_code_size(eps_l, depth, eps_p, delta)
+
+
+def _overhead_report(t: TailModel, eps_l: float, eps_p: float, delta: float,
+                     depth: int, chi: float,
+                     size: analytic.CodeSizeResult) -> OverheadReport:
+    """overhead_ratio at a checked operating point whose code size is
+    already known."""
     w_p = _w_p(t)
     w_l = resource_tradeoff(t, eps_l) / t.scale
     eta_number = (depth + 1) * size.n / chi
@@ -236,7 +248,11 @@ def phase_grid(t: TailModel, axis1: str, values1, axis2: str, values2,
     threshold = analytic.pseudothreshold(depth)
     delta_spec = fixed.get("delta", "optimal")
 
+    # delta and depth are fixed per eps_p within one call, so the code
+    # size depends only on (eps_l, eps_p): cells that differ only in w_p
+    # or gamma share one search
     delta_cache: dict[float, float] = {}
+    sizes: dict[tuple[float, float], analytic.CodeSizeResult] = {}
 
     def delta_for(eps_p: float) -> float:
         if eps_p not in delta_cache:
@@ -263,8 +279,13 @@ def phase_grid(t: TailModel, axis1: str, values1, axis2: str, values2,
                 asym_row.append(math.nan)
                 regime_row.append(REGIME_INVALID)
                 continue
-            report = overhead_ratio(model, eps_l, eps_p, delta_for(eps_p),
-                                    depth, chi)
+            _check_operating_point(eps_l, eps_p, chi)
+            delta = delta_for(eps_p)
+            if (eps_l, eps_p) not in sizes:
+                sizes[eps_l, eps_p] = analytic.required_code_size(
+                    eps_l, depth, eps_p, delta)
+            report = _overhead_report(model, eps_l, eps_p, delta, depth,
+                                      chi, sizes[eps_l, eps_p])
             exact_row.append(report.eta)
             asym_row.append(report.eta_asymptotic)
             regime_row.append(report.regime)

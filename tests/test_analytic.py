@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from ftcircuit import analytic
 from ftcircuit.analytic import (fixed_points, logical_error_formula,
                                 number_overhead, optimal_fiducial,
                                 pseudothreshold, required_code_size,
                                 stage_error, stage_error_depth2_closed_form)
-from ftcircuit.numerics import ols_fit
+from ftcircuit.numerics import _log_binom_terms, ols_fit
 
 EVANS_PIPPENGER = (3.0 - math.sqrt(7.0)) / 4.0
 
@@ -245,6 +246,61 @@ def test_required_code_size_minimal():
     worse, _ = logical_error_formula(res.n - 2, 2, 0.005, d2)
     assert worse > 1e-10
     assert abs(res.coefficient - 279) < 3
+
+
+def step_walk_code_size(eps_l: float, depth: int, eps_p: float,
+                        delta: float) -> tuple[int, float]:
+    """The step-by-step search: a +-2 walk from the ln(1/eps_l) guess,
+    one full tail sum over k..n per candidate n."""
+    f = stage_error(depth, eps_p, delta)
+
+    def log10_tail(n: int) -> float:
+        k = max(math.ceil(delta * n), 1)
+        terms = _log_binom_terms(n, f, np.arange(k, n + 1))
+        return float(logsumexp(terms)) / math.log(10.0)
+
+    target = math.log10(eps_l)
+    coeff = 2.0 * f * (1.0 - f) / (f - delta) ** 2
+    guess = max(1, int(coeff * math.log(1.0 / eps_l)))
+    n = guess if guess % 2 == 1 else guess + 1
+    while n > 1 and log10_tail(n - 2) <= target:
+        n -= 2
+    while log10_tail(n) > target:
+        n += 2
+    return n, 10.0 ** log10_tail(n)
+
+
+# (depth, eps_p, delta: the optimum or the midpoint toward a window edge,
+# eps_l); n runs from 261 to 5,933
+STEP_WALK_POINTS = [
+    (2, 0.002, "opt", 1e-12), (2, 0.002, "hi", 1e-12),
+    (2, 0.002, "lo", 1e-6), (2, 0.005, "opt", 1e-6),
+    (2, 0.005, "opt", 1e-9), (2, 0.005, "lo", 1e-4),
+    (2, 0.007, "opt", 1e-3), (4, 0.002, "opt", 1e-12),
+    (4, 0.005, "opt", 1e-9), (4, 0.005, "hi", 1e-12),
+    (4, 0.007, "opt", 1e-6), (4, 0.007, "lo", 1e-12),
+]
+
+
+@pytest.mark.parametrize("depth,eps_p,where,eps_l", STEP_WALK_POINTS)
+def test_required_code_size_matches_step_walk(depth, eps_p, where, eps_l):
+    delta = optimal_fiducial(depth, eps_p)
+    if where != "opt":
+        window = fixed_points(depth, eps_p)
+        edge = window.delta_hi if where == "hi" else window.delta_lo
+        delta = 0.5 * (delta + edge)
+    n, achieved = step_walk_code_size(eps_l, depth, eps_p, delta)
+    res = required_code_size(eps_l, depth, eps_p, delta)
+    assert res.n == n
+    assert res.eps_l_achieved == pytest.approx(achieved, rel=1e-13, abs=0.0)
+
+
+def test_required_code_size_long_threshold_runs():
+    # delta = 1e-8 keeps k = ceil(delta n) fixed over 5e7 odd n at a time
+    res = required_code_size(1e-3, 2, 1e-9, 1e-8)
+    assert res.n % 2 == 1
+    assert res.eps_l_achieved <= 1e-3
+    assert analytic.log10_logical_error(res.n - 2, 2, 1e-9, 1e-8) > -3.0
 
 
 def test_number_overhead():

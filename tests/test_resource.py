@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -192,6 +193,31 @@ def test_phase_grid_pareto_ft_region():
     for row in grid.eta_exact:
         values = [v for v in row if not math.isnan(v)]
         assert values == sorted(values)
+
+
+def test_phase_grid_one_search_per_code_size_input(monkeypatch):
+    searches = []
+    search = analytic.required_code_size
+
+    def counted(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(analytic, "required_code_size", counted)
+    model = TailModel(PARETO, w_p=3e2)
+    gammas, eps_ls = [1.5, 2.0, 3.0], [1e-12, 1e-10]
+    grid = phase_grid(model, "gamma", gammas, "eps_l", eps_ls,
+                      {"eps_p": 0.005, "chi": 0.47})
+    # n depends on (eps_l, eps_p) alone; gamma only rescales eta
+    assert len(searches) == len(eps_ls)
+    d2 = analytic.optimal_fiducial(2, 0.005)
+    for i, gamma in enumerate(gammas):
+        for j, eps_l in enumerate(eps_ls):
+            report = overhead_ratio(replace(model, gamma=gamma), eps_l,
+                                    0.005, d2, 2, 0.47)
+            assert grid.eta_exact[i][j] == report.eta
+            assert grid.eta_asymptotic[i][j] == report.eta_asymptotic
+            assert grid.regime[i][j] == report.regime
 
 
 def test_phase_grid_gaussian_all_non_ft_when_wp_large():
