@@ -5,17 +5,14 @@ independency estimation, and resource-overhead analysis."""
 __version__ = "0.1.0"
 
 from .circuit import (Circuit, CircuitError, Gate, GateLabel, NAND,
-                      NetlistError, evaluate, parse_circuit,
-                      serialize_circuit, topological_layers,
-                      validate_circuit)
+                      NetlistError, parse_circuit, serialize_circuit)
 from .transform import (Bundle, FtCircuit, FtGadget, FtParams,
                         apply_ft_construction, build_formula_gadget,
                         build_ft_gadget, build_majority_ec_circuit,
                         build_majority_ec_formula, decode_bits, encode_bit)
 from .analytic import (AmplificationWindow, CodeSizeResult, fixed_points,
-                       logical_error_formula, number_overhead,
-                       optimal_fiducial, pseudothreshold,
-                       required_code_size, stage_error)
+                       logical_error_formula, optimal_fiducial,
+                       pseudothreshold, required_code_size, stage_error)
 from .noisy import (ErrorEstimate, LayeredNoisyNetwork, circuit_logical_error,
                     exact_stage_error, induce_network,
                     monte_carlo_logical_error)
@@ -28,13 +25,12 @@ from .numerics import inverse_erfc
 
 __all__ = [
     "Circuit", "CircuitError", "Gate", "GateLabel", "NAND", "NetlistError",
-    "evaluate", "parse_circuit", "serialize_circuit", "topological_layers",
-    "validate_circuit",
+    "parse_circuit", "serialize_circuit",
     "Bundle", "FtCircuit", "FtGadget", "FtParams", "apply_ft_construction",
     "build_formula_gadget", "build_ft_gadget", "build_majority_ec_circuit",
     "build_majority_ec_formula", "decode_bits", "encode_bit",
     "AmplificationWindow", "CodeSizeResult", "fixed_points",
-    "logical_error_formula", "number_overhead", "optimal_fiducial",
+    "logical_error_formula", "optimal_fiducial",
     "pseudothreshold", "required_code_size", "stage_error",
     "ErrorEstimate", "LayeredNoisyNetwork", "circuit_logical_error",
     "exact_stage_error", "induce_network", "monte_carlo_logical_error",

@@ -142,6 +142,18 @@ def failure_threshold(n: int, delta: float | None) -> int:
     return max(math.ceil(delta * n), 1)
 
 
+def amplified_stage_error(depth: int, eps_p: float, delta: float) -> float:
+    """f(delta), after checking that delta lies in the amplification
+    window: f(delta) < delta, which holds exactly between the fixed
+    points."""
+    f = stage_error(depth, eps_p, delta)
+    if not f < delta:
+        raise ValueError(
+            f"delta={delta} is outside the amplification window; "
+            "the signal is not amplified")
+    return f
+
+
 def logical_error_formula(n: int, depth: int, eps_p: float,
                           delta: float) -> tuple[float, float]:
     """Logical error of the formula gadget at code size n.
@@ -150,12 +162,7 @@ def logical_error_formula(n: int, depth: int, eps_p: float,
     Pr[Binomial(n, f) >= ceil(delta n)] and the paper-style normal
     approximation Pr[Z >= sqrt(n)(delta - f)/sqrt(f(1-f))].
     """
-    window = fixed_points(depth, eps_p)
-    if not window.exists or not window.delta_lo < delta < window.delta_hi:
-        raise ValueError(
-            f"delta={delta} is outside the amplification window; "
-            "the signal is not amplified")
-    f = stage_error(depth, eps_p, delta)
+    f = amplified_stage_error(depth, eps_p, delta)
     exact = binom_tail(n, f, failure_threshold(n, delta))
     z = math.sqrt(n) * (delta - f) / math.sqrt(f * (1.0 - f))
     normal = 0.5 * math.erfc(z / math.sqrt(2.0))
@@ -225,10 +232,8 @@ def required_code_size(eps_l_target: float, depth: int, eps_p: float,
     if not 0.0 < eps_l_target < 1.0:
         raise ValueError(f"target must be in (0, 1), got {eps_l_target}")
     log10_target = math.log10(eps_l_target)
+    f = amplified_stage_error(depth, eps_p, delta)
     coeff = code_size_coefficient(depth, eps_p, delta)
-    # validates the window once; per-n evaluation then uses the log form
-    logical_error_formula(1, depth, eps_p, delta)
-    f = stage_error(depth, eps_p, delta)
 
     n = max(1, int(coeff * math.log(1.0 / eps_l_target))) | 1
     while n > 1 and _log10_tail(n - 2, f, delta) <= log10_target:
@@ -237,12 +242,3 @@ def required_code_size(eps_l_target: float, depth: int, eps_p: float,
         n = _run_end(n, delta, 2) + 2
     return CodeSizeResult(n, coeff, 10.0 ** log10_tail)
 
-
-def number_overhead(eps_l: float, eps_p: float, delta: float, depth: int,
-                    chi: float) -> float:
-    """Gate-count overhead of the fault-tolerant construction:
-    (D+1) n(eps_l) / chi."""
-    if not 0.0 < chi <= 1.0:
-        raise ValueError(f"chi must be in (0, 1], got {chi}")
-    n = required_code_size(eps_l, depth, eps_p, delta).n
-    return (depth + 1) * n / chi

@@ -12,9 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .analytic import failure_threshold, resolve_delta
-from .noisy import (circuit_logical_error, formula_wrong_count_distribution,
-                    tail_probability)
+from .analytic import resolve_delta
+from .noisy import circuit_logical_error
 from .numerics import ols_fit
 from .transform import FtParams, WIRING_OFFSET_DOUBLING
 
@@ -94,7 +93,7 @@ def estimate_chi(depth: int, eps_p: float, delta="optimal",
     if any(n % 2 == 0 for n in ns):
         raise ValueError("n_range must contain odd code sizes")
 
-    circuit_points = []
+    circuit_points, formula_points = [], []
     for i, n in enumerate(ns):
         params = FtParams(n, depth, eps_p, d)
         est = circuit_logical_error(params, method=method,
@@ -102,13 +101,8 @@ def estimate_chi(depth: int, eps_p: float, delta="optimal",
                                     block="ec", wiring=wiring,
                                     samples=samples, seed=seed + i)
         circuit_points.append((n, est.mean, est.ci_low, est.ci_high))
-
-    formula_points = []
-    for n in ns:
-        params = FtParams(n, depth, eps_p, d)
-        dist = formula_wrong_count_distribution(params, block="ec")
-        eps_l = tail_probability(dist, failure_threshold(n, None))
-        formula_points.append((n, eps_l))
+        ref = circuit_logical_error(params, variant="formula", block="ec")
+        formula_points.append((n, ref.mean))
 
     circuit_fit = fit_effective_slope(circuit_points)
     formula_fit = fit_effective_slope(formula_points)

@@ -270,14 +270,3 @@ def serialize_circuit(circuit: Circuit, comments: Iterable[str] = ()) -> str:
     lines += [f"out {w}" for w in circuit.outputs]
     return "\n".join(lines) + "\n"
 
-
-def validate_circuit(circuit: Circuit) -> list[str]:
-    return circuit.validate()
-
-
-def evaluate(circuit: Circuit, assignment: Mapping[str, int]) -> dict[str, int]:
-    return circuit.evaluate(assignment)
-
-
-def topological_layers(circuit: Circuit) -> list[list[Gate]]:
-    return circuit.topological_layers()

@@ -121,9 +121,8 @@ def cmd_build(args):
 
 def cmd_simulate(args) -> dict:
     params = transform.FtParams(args.n, args.depth, args.eps_p, args.delta)
-    method = "exact" if args.exact else args.method
     est = noisy.circuit_logical_error(
-        params, method=method, delta_threshold=args.delta_threshold,
+        params, method=args.method, delta_threshold=args.delta_threshold,
         variant="formula" if args.formula else "circuit", block=args.block,
         wiring=args.wiring, samples=args.samples, seed=args.seed)
     return est.to_record(params)
@@ -250,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.058)
     p.add_argument("--delta-threshold", type=float,
                    help="failure threshold fraction; default majority")
-    p.add_argument("--exact", action="store_true")
     p.add_argument("--method", default="auto",
                    choices=["auto", "exact", "monte_carlo"])
     p.add_argument("--formula", action="store_true")

@@ -22,9 +22,9 @@ import numpy as np
 from .analytic import (check_rate, computation_error, ec_error,
                        failure_threshold, stage_error)
 from .circuit import Circuit, CircuitError
+from . import transform
 from .numerics import binom_pmf, wilson_interval
-from .transform import (FtParams, WIRING_OFFSET_DOUBLING, WIRING_SHARED,
-                        _layer_offset, require_nand)
+from .transform import FtParams, WIRING_OFFSET_DOUBLING, require_nand
 
 EXACT_ENGINE_CAP = 15
 
@@ -236,18 +236,12 @@ class BundleState:
                            minlength=self.n + 1)[: self.n + 1]
 
 
-def _ec_offsets(n: int, layer: int, wiring: str) -> tuple[tuple[int, int], ...]:
-    if wiring == WIRING_SHARED:
-        return tuple((0, 1 % n) for _ in range(n))
-    off = _layer_offset(layer, n, wiring)
-    return tuple((i, (i - off) % n) for i in range(n))
-
-
 def _apply_ec_block(state: BundleState, depth: int, eps_p: float,
                     wiring: str, first_rule: str):
     rule = first_rule
     for layer in range(1, depth + 1):
-        state.apply_wiring_layer(_ec_offsets(state.n, layer, wiring), rule)
+        state.apply_wiring_layer(
+            transform.ec_offsets(state.n, layer, wiring), rule)
         state.apply_noise(eps_p)
         rule = BOTH if rule == EITHER else EITHER
 
@@ -363,7 +357,6 @@ def gadget_network(params: FtParams, wiring: str = WIRING_OFFSET_DOUBLING,
                    block: str = "gadget") -> LayeredNoisyNetwork:
     """The noisy network of one gadget (or bare EC block) with the
     worst-case reference: gadget input bundles encode 1, EC inputs 0."""
-    from . import transform
     if block == "gadget":
         gadget = transform.build_ft_gadget(transform.NAND, params, wiring)
         circuit = gadget.circuit

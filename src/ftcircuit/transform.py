@@ -61,28 +61,57 @@ def decode_bits(bits: Sequence[int]) -> int:
     return 1 if 2 * sum(bits) > len(bits) else 0
 
 
-def _layer_offset(layer: int, n: int, wiring: str) -> int:
+def ec_offsets(n: int, layer: int,
+               wiring: str) -> tuple[tuple[int, int], ...]:
+    """For each gate i of EC layer l, the two wires of layer l - 1 it
+    reads: (i, i - off mod n), or wires 0 and 1 under the shared wiring."""
+    if wiring == WIRING_SHARED:
+        return ((0, 1 % n),) * n
     if wiring == WIRING_OFFSET_DOUBLING:
-        return (1 << (layer - 1)) % n
-    if wiring == WIRING_UNIT:
-        return 1 % n
-    raise ValueError(f"unknown wiring rule: {wiring}")
+        off = (1 << (layer - 1)) % n
+    elif wiring == WIRING_UNIT:
+        off = 1 % n
+    else:
+        raise ValueError(f"unknown wiring rule: {wiring}")
+    return tuple((i, (i - off) % n) for i in range(n))
 
 
-def _ec_gates(n: int, depth: int, prev: list[str], prefix: str,
-              wiring: str) -> list[Gate]:
+def _ec_gates(prev: Bundle, depth: int, prefix: str,
+              wiring: str) -> tuple[list[Gate], Bundle]:
+    """The depth-D EC block fed the bundle prev; returns its gates and
+    output bundle."""
+    n = len(prev)
     gates = []
     for layer in range(1, depth + 1):
-        cur = [f"{prefix}{layer}_{i}" for i in range(n)]
-        for i in range(n):
-            if wiring == WIRING_SHARED:
-                a, b = prev[0], prev[1 % n]
-            else:
-                off = _layer_offset(layer, n, wiring)
-                a, b = prev[i], prev[(i - off) % n]
-            gates.append(Gate(cur[i], NAND, (a, b)))
-        prev[:] = cur
-    return gates
+        cur = tuple(f"{prefix}{layer}_{i}" for i in range(n))
+        gates += (Gate(cur[i], NAND, (prev[a], prev[b]))
+                  for i, (a, b) in enumerate(ec_offsets(n, layer, wiring)))
+        prev = cur
+    return gates, prev
+
+
+def _gadget_gates(a: Bundle, b: Bundle, depth: int, prefix: str,
+                  wiring: str) -> tuple[list[Gate], Bundle]:
+    """n computation gates (gate i reads wire i of each input bundle)
+    followed by the depth-D EC block; returns the gates and the output
+    bundle."""
+    comp = tuple(f"{prefix}c{i}" for i in range(len(a)))
+    gates = [Gate(c, NAND, (x, y)) for c, x, y in zip(comp, a, b)]
+    ec, out = _ec_gates(comp, depth, f"{prefix}e", wiring)
+    return gates + ec, out
+
+
+def _nand_tree(leaves: Sequence[str], prefix: str) -> tuple[list[Gate], str]:
+    """A full binary NAND tree over 2**D leaves: gate i of layer l reads
+    wires 2i and 2i + 1 of layer l - 1.  Returns the gates and the root."""
+    gates = []
+    prev = list(leaves)
+    for layer in range(1, len(leaves).bit_length()):
+        cur = [f"{prefix}{layer}_{i}" for i in range(len(prev) // 2)]
+        gates += (Gate(name, NAND, (prev[2 * i], prev[2 * i + 1]))
+                  for i, name in enumerate(cur))
+        prev = cur
+    return gates, prev[0]
 
 
 def build_majority_ec_circuit(n: int, depth: int,
@@ -95,25 +124,18 @@ def build_majority_ec_circuit(n: int, depth: int,
     if n < 1:
         raise ValueError(f"code size must be >= 1, got {n}")
     check_depth(depth)
-    inputs = [f"x{i}" for i in range(n)]
-    prev = list(inputs)
-    gates = _ec_gates(n, depth, prev, "m", wiring)
-    return Circuit(tuple(inputs), tuple(gates), tuple(prev))
+    inputs = tuple(f"x{i}" for i in range(n))
+    gates, out = _ec_gates(inputs, depth, "m", wiring)
+    return Circuit(inputs, tuple(gates), out)
 
 
 def build_majority_ec_formula(depth: int) -> Circuit:
     """The depth-D majority restoration formula: a full binary NAND tree
     with 2**D leaves and 2**D - 1 gates, fan-out 1 everywhere."""
     check_depth(depth)
-    inputs = [f"x{i}" for i in range(1 << depth)]
-    gates = []
-    prev = list(inputs)
-    for layer in range(1, depth + 1):
-        cur = [f"t{layer}_{i}" for i in range(len(prev) // 2)]
-        for i, name in enumerate(cur):
-            gates.append(Gate(name, NAND, (prev[2 * i], prev[2 * i + 1])))
-        prev = cur
-    return Circuit(tuple(inputs), tuple(gates), (prev[0],))
+    inputs = tuple(f"x{i}" for i in range(1 << depth))
+    gates, root = _nand_tree(inputs, "t")
+    return Circuit(inputs, tuple(gates), (root,))
 
 
 @dataclass(frozen=True)
@@ -138,14 +160,11 @@ def build_ft_gadget(label: GateLabel, params: FtParams,
     wire i of each input bundle) followed by the depth-D EC circuit;
     (D + 1) * n gates in total."""
     require_nand(label)
-    n, depth = params.n, params.depth
-    bundle_a = tuple(f"a{i}" for i in range(n))
-    bundle_b = tuple(f"b{i}" for i in range(n))
-    gates = [Gate(f"c{i}", NAND, (bundle_a[i], bundle_b[i])) for i in range(n)]
-    prev = [f"c{i}" for i in range(n)]
-    gates += _ec_gates(n, depth, prev, "e", wiring)
-    circuit = Circuit(bundle_a + bundle_b, tuple(gates), tuple(prev))
-    return FtGadget(circuit, (bundle_a, bundle_b), tuple(prev))
+    bundle_a = tuple(f"a{i}" for i in range(params.n))
+    bundle_b = tuple(f"b{i}" for i in range(params.n))
+    gates, out = _gadget_gates(bundle_a, bundle_b, params.depth, "", wiring)
+    circuit = Circuit(bundle_a + bundle_b, tuple(gates), out)
+    return FtGadget(circuit, (bundle_a, bundle_b), out)
 
 
 def build_formula_gadget(params: FtParams) -> FtGadget:
@@ -162,17 +181,12 @@ def build_formula_gadget(params: FtParams) -> FtGadget:
     gates = []
     outs = []
     for j in range(n):
-        prev = []
-        for i in range(copies):
-            name = f"c{j}_{i}"
-            gates.append(Gate(name, NAND, (f"a{j}_{i}", f"b{j}_{i}")))
-            prev.append(name)
-        for layer in range(1, depth + 1):
-            cur = [f"t{j}_{layer}_{i}" for i in range(len(prev) // 2)]
-            for i, name in enumerate(cur):
-                gates.append(Gate(name, NAND, (prev[2 * i], prev[2 * i + 1])))
-            prev = cur
-        outs.append(prev[0])
+        comp = [f"c{j}_{i}" for i in range(copies)]
+        gates += (Gate(c, NAND, (f"a{j}_{i}", f"b{j}_{i}"))
+                  for i, c in enumerate(comp))
+        tree, root = _nand_tree(comp, f"t{j}_")
+        gates += tree
+        outs.append(root)
     circuit = Circuit(bundle_a + bundle_b, tuple(gates), tuple(outs))
     return FtGadget(circuit, (bundle_a, bundle_b), tuple(outs))
 
@@ -203,24 +217,17 @@ def apply_ft_construction(circuit: Circuit, params: FtParams,
     outputs become n-wire bundles.
     """
     circuit.check_valid()
-    n, depth = params.n, params.depth
-
-    bundles: dict[str, Bundle] = {}
-    for w in circuit.inputs:
-        bundles[w] = tuple(f"{w}__{i}" for i in range(n))
+    bundles: dict[str, Bundle] = {
+        w: tuple(f"{w}__{i}" for i in range(params.n)) for w in circuit.inputs}
     new_inputs = [w for b in bundles.values() for w in b]
 
     gates: list[Gate] = []
     for g in circuit.topological_order:
         require_nand(g.label)
         src_a, src_b = (bundles[w] for w in g.inputs)
-        comp = []
-        for i in range(n):
-            name = f"{g.name}__c{i}"
-            gates.append(Gate(name, NAND, (src_a[i], src_b[i])))
-            comp.append(name)
-        gates += _ec_gates(n, depth, comp, f"{g.name}__e", wiring)
-        bundles[g.name] = tuple(comp)
+        body, bundles[g.name] = _gadget_gates(src_a, src_b, params.depth,
+                                              f"{g.name}__", wiring)
+        gates += body
 
     out_bundles = {w: bundles[w] for w in circuit.outputs}
     new_outputs = [w for b in out_bundles.values() for w in b]

@@ -7,10 +7,11 @@ from scipy.special import logsumexp
 
 from ftcircuit import analytic
 from ftcircuit.analytic import (fixed_points, logical_error_formula,
-                                number_overhead, optimal_fiducial,
-                                pseudothreshold, required_code_size,
-                                stage_error, stage_error_depth2_closed_form)
+                                optimal_fiducial, pseudothreshold,
+                                required_code_size, stage_error,
+                                stage_error_depth2_closed_form)
 from ftcircuit.numerics import _log_binom_terms, ols_fit
+from ftcircuit.resource import EXPONENTIAL, TailModel, overhead_ratio
 
 EVANS_PIPPENGER = (3.0 - math.sqrt(7.0)) / 4.0
 
@@ -306,8 +307,63 @@ def test_required_code_size_long_threshold_runs():
 def test_number_overhead():
     d2 = optimal_fiducial(2, 0.005)
     n = required_code_size(1e-10, 2, 0.005, d2).n
-    assert number_overhead(1e-10, 0.005, d2, 2, 1.0) == 3 * n
-    assert number_overhead(1e-10, 0.005, d2, 2, 0.47) == pytest.approx(
-        3 * n / 0.47)
+    model = TailModel(EXPONENTIAL)
+
+    def number_overhead(chi):
+        return overhead_ratio(model, 1e-10, 0.005, d2, 2, chi).eta_number
+
+    assert number_overhead(1.0) == 3 * n
+    assert number_overhead(0.47) == pytest.approx(3 * n / 0.47)
     with pytest.raises(ValueError):
-        number_overhead(1e-10, 0.005, d2, 2, 0.0)
+        number_overhead(0.0)
+
+
+def test_amplification_window_is_f_below_delta():
+    # both entry points reject a delta outside the window and an eps_p
+    # above the depth-2 pseudothreshold (about 0.01077)
+    for depth, eps_p, delta in ((2, 0.005, 0.3), (2, 0.012, 0.058)):
+        with pytest.raises(ValueError, match="amplification"):
+            logical_error_formula(5, depth, eps_p, delta)
+        with pytest.raises(ValueError, match="amplification"):
+            required_code_size(1e-6, depth, eps_p, delta)
+
+    # f(delta) < delta holds exactly between the fixed points
+    compared = 0
+    for depth in (2, 4, 6):
+        threshold = pseudothreshold(depth)
+        for scale in (0.01, 0.3, 0.7, 0.95, 0.999, 1.05):
+            eps_p = scale * threshold
+            window = fixed_points(depth, eps_p)
+            for i in range(1, 250):
+                delta = i / 500.0 + 1.3e-4
+                if window.exists and min(abs(delta - window.delta_lo),
+                                         abs(delta - window.delta_hi)) <= 1e-9:
+                    continue
+                inside = (window.exists
+                          and window.delta_lo < delta < window.delta_hi)
+                try:
+                    f = analytic.amplified_stage_error(depth, eps_p, delta)
+                except ValueError:
+                    assert not inside, (depth, eps_p, delta)
+                else:
+                    assert inside, (depth, eps_p, delta)
+                    assert f == stage_error(depth, eps_p, delta)
+                compared += 1
+    assert compared > 4000
+
+
+def test_required_code_size_skips_fixed_points(monkeypatch):
+    calls = []
+    solve = analytic.fixed_points
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    d2 = optimal_fiducial(2, 0.005)
+    monkeypatch.setattr(analytic, "fixed_points", counted)
+    for eps_l in (1e-6, 1e-12, 1e-20):
+        required_code_size(eps_l, 2, 0.005, d2)
+    with pytest.raises(ValueError):
+        required_code_size(1e-6, 2, 0.005, 0.3)
+    assert calls == []

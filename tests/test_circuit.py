@@ -1,8 +1,7 @@
 import pytest
 
 from ftcircuit.circuit import (NAND, Circuit, CircuitError, Gate, GateLabel,
-                               NetlistError, parse_circuit, serialize_circuit,
-                               topological_layers, validate_circuit)
+                               NetlistError, parse_circuit, serialize_circuit)
 
 SIMPLE = "in a\nin b\ng1 NAND a b\nout g1\n"
 
@@ -69,12 +68,12 @@ def test_roundtrip_identity():
 
 def test_validate_fan_in_mismatch():
     bad = Circuit(("a",), (Gate("g1", NAND, ("a",)),))
-    report = validate_circuit(bad)
+    report = bad.validate()
     assert any("fan-in mismatch" in line for line in report)
 
 
 def test_validate_ok():
-    assert validate_circuit(parse_circuit(SIMPLE)) == []
+    assert parse_circuit(SIMPLE).validate() == []
 
 
 def test_gate_label_invariants():
@@ -94,7 +93,7 @@ def test_custom_label():
 
 
 def test_topological_layers_single():
-    assert len(topological_layers(parse_circuit(SIMPLE))) == 1
+    assert len(parse_circuit(SIMPLE).topological_layers()) == 1
 
 
 def test_topological_layers_chain():
@@ -104,7 +103,7 @@ def test_topological_layers_chain():
         lines.append(f"g{i} NAND {prev} {prev}")
         prev = f"g{i}"
     c = parse_circuit("\n".join(lines) + "\n")
-    layers = topological_layers(c)
+    layers = c.topological_layers()
     assert [len(l) for l in layers] == [1] * 5
 
 

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -64,8 +66,8 @@ def test_build_rejects_unknown_gate(capsys):
 
 def test_simulate_exact_matches_oracle(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--n", "5", "--depth", "2",
-                           "--eps-p", "0.005", "--delta", "0.058", "--exact",
-                           "--delta-threshold", "0.058")
+                           "--eps-p", "0.005", "--delta", "0.058", "--method",
+                           "exact", "--delta-threshold", "0.058")
     assert code == 0
     data = json.loads(out)
     from ftcircuit.noisy import (exact_stage_error, failure_threshold,
@@ -182,3 +184,22 @@ def test_domain_error_exit_code(capsys):
                            "--eps-p", "0.005")
     assert code == 1
     assert "error" in err
+
+
+def test_readme_examples_run(capsys, tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1]
+    block = block.split("```sh", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("ftcircuit ")]
+    assert len(commands) >= 8
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "base.nl").write_text("in a\nin b\ng1 NAND a b\nout g1\n")
+    for line in commands:
+        argv = shlex.split(line.split("#", 1)[0])[1:]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects an unknown flag
+            code = exc.code
+        capsys.readouterr()
+        assert code == 0, line

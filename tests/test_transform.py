@@ -3,11 +3,12 @@ import itertools
 import pytest
 
 from ftcircuit.circuit import NAND, CircuitError, parse_circuit
-from ftcircuit.transform import (FtParams, WIRING_SHARED, WIRING_UNIT,
+from ftcircuit.transform import (FtParams, WIRING_OFFSET_DOUBLING,
+                                 WIRING_SHARED, WIRING_UNIT,
                                  apply_ft_construction, build_formula_gadget,
                                  build_ft_gadget, build_majority_ec_circuit,
                                  build_majority_ec_formula, decode_bits,
-                                 encode_bit)
+                                 ec_offsets, encode_bit)
 
 
 def input_ancestors(circuit):
@@ -187,3 +188,44 @@ def test_apply_ft_serialization_roundtrips():
     ft = apply_ft_construction(base, FtParams(3, 2))
     again = parse_circuit(ft.serialize())
     assert again == ft.circuit
+
+
+WIRINGS = (WIRING_OFFSET_DOUBLING, WIRING_UNIT, WIRING_SHARED)
+
+
+@pytest.mark.parametrize("wiring", WIRINGS)
+def test_ec_circuit_reads_ec_offsets(wiring):
+    for n, depth in itertools.product((1, 2, 3, 5, 8, 13), (2, 4)):
+        ec = build_majority_ec_circuit(n, depth, wiring)
+        prev = ec.inputs
+        for layer in range(1, depth + 1):
+            gates = ec.gates[(layer - 1) * n: layer * n]
+            want = [(prev[a], prev[b])
+                    for a, b in ec_offsets(n, layer, wiring)]
+            assert [g.inputs for g in gates] == want
+            prev = tuple(g.name for g in gates)
+        assert ec.outputs == prev
+    # layer 2 of offset doubling reads back 2, shared reads wires 0 and 1
+    assert ec_offsets(5, 2, WIRING_OFFSET_DOUBLING)[1] == (1, 4)
+    assert ec_offsets(5, 2, WIRING_UNIT)[1] == (1, 0)
+    assert ec_offsets(5, 2, WIRING_SHARED) == ((0, 1),) * 5
+
+
+@pytest.mark.parametrize("wiring", WIRINGS)
+def test_one_gate_construction_is_the_gadget(wiring):
+    base = parse_circuit("in a\nin b\ng1 NAND a b\nout g1\n")
+
+    def rename(w):
+        # g1__e1_0 -> e1_0, a__0 -> a0
+        return w[len("g1__"):] if w.startswith("g1__") else w.replace("__", "")
+
+    for n, depth in itertools.product((1, 2, 5, 8), (2, 4)):
+        params = FtParams(n, depth)
+        gadget = build_ft_gadget(NAND, params, wiring)
+        ft = apply_ft_construction(base, params, wiring)
+        renamed = [(rename(g.name), g.label, tuple(map(rename, g.inputs)))
+                   for g in ft.circuit.gates]
+        assert renamed == [(g.name, g.label, g.inputs)
+                           for g in gadget.circuit.gates]
+        assert tuple(map(rename, ft.output_bundles["g1"])) == \
+            gadget.output_bundle
