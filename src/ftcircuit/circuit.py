@@ -99,10 +99,6 @@ class Circuit:
         return tuple(g.name for g in self.gates if g.name not in used)
 
     @cached_property
-    def gate_map(self) -> dict[str, Gate]:
-        return {g.name: g for g in self.gates}
-
-    @cached_property
     def wire_index(self) -> dict[str, int]:
         """Stable dense index: inputs first, then gates in declaration order."""
         idx = {w: i for i, w in enumerate(self.inputs)}

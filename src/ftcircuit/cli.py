@@ -64,10 +64,6 @@ def _tail_model(args: argparse.Namespace) -> resource.TailModel:
 
 def cmd_analyze(args) -> dict:
     threshold = analytic.pseudothreshold(args.depth)
-    if args.eps_p >= threshold:
-        raise SystemExit(
-            f"error: eps_p={args.eps_p} is above the depth-{args.depth} "
-            f"pseudothreshold {threshold:.6g}")
     window = analytic.fixed_points(args.depth, args.eps_p)
     delta_opt = analytic.optimal_fiducial(args.depth, args.eps_p)
     return {
@@ -112,8 +108,6 @@ def cmd_build(args):
         with open(args.netlist) as fh:
             base = parse_circuit(fh.read())
         built = transform.apply_ft_construction(base, params, args.wiring)
-    elif args.gate.upper() != "NAND":
-        raise SystemExit(f"error: unsupported gate label: {args.gate}")
     else:
         built = transform.build_ft_gadget(transform.NAND, params, args.wiring)
     _write(built.serialize(), args.output)
@@ -149,7 +143,7 @@ def _parse_axis(spec: str) -> tuple[str, list[float]]:
     name, _, rng = spec.partition("=")
     parts = rng.split(":")
     if name not in resource.GRID_AXES or len(parts) not in (3, 4):
-        raise SystemExit(f"error: bad axis spec: {spec!r} "
+        raise ValueError(f"bad axis spec: {spec!r} "
                          "(want name=lo:hi:steps[:log])")
     lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     if len(parts) == 4 and parts[3] == "log":
@@ -236,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="emit a fault-tolerant netlist")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--gate", default="nand")
     p.add_argument("--netlist", help="transform this base netlist instead "
                    "of emitting a single gadget")
     p.add_argument("--wiring", default=transform.WIRING_OFFSET_DOUBLING)

@@ -1,15 +1,15 @@
 """Noisy-circuit inference: the Bayesian network induced by a circuit
 with independently flipping gates, exact layered propagation of the
-joint error state, and seeded Monte Carlo estimation.
+joint wire values, and seeded Monte Carlo estimation.
 
-The exact engine tracks the joint distribution of the wrong-wire
-indicator vector of one n-wire bundle (2^n states).  A NAND layer whose
-inputs all encode 1 corrupts its output when either input is wrong; a
-layer whose inputs encode 0 needs both.  Deterministic layers are
-pushforwards of the state distribution; i.i.d. output noise is an XOR
-convolution, applied one wire at a time as the positive mixture
-p <- (1 - eps) p + eps p[wire flipped], so that small tails keep their
-relative accuracy.
+The exact engine tracks the joint law of the wire values of one n-wire
+bundle (2^n states).  A NAND layer is the pushforward
+out_i = 1 - (v_a & v_b), the gate that the circuit evaluator and Monte
+Carlo apply; every NAND layer flips the value the bundle encodes, and
+the wrong-wire count is read against that value at the end.  i.i.d.
+output noise is an XOR convolution, applied one wire at a time as the
+positive mixture p <- (1 - eps) p + eps p[wire flipped], so that small
+tails keep their relative accuracy.
 """
 from __future__ import annotations
 
@@ -20,16 +20,13 @@ from typing import Mapping
 import numpy as np
 
 from .analytic import (check_rate, computation_error, ec_error,
-                       failure_threshold, stage_error)
+                       failure_threshold)
 from .circuit import Circuit, CircuitError
 from . import transform
 from .numerics import binom_pmf, wilson_interval
 from .transform import FtParams, WIRING_OFFSET_DOUBLING, require_nand
 
 EXACT_ENGINE_CAP = 15
-
-EITHER = "either"  # inputs encode 1: one wrong input corrupts the output
-BOTH = "both"      # inputs encode 0: both inputs must be wrong
 
 
 class ExactEngineError(CircuitError):
@@ -141,7 +138,8 @@ def _state_size(n: int) -> int:
 
 
 class BundleState:
-    """Joint distribution of the wrong-bit vector of an n-wire bundle."""
+    """Joint law of the wire values of an n-wire bundle: state s sets
+    wire i to (s >> i) & 1."""
 
     def __init__(self, n: int, probs: np.ndarray):
         if probs.shape != (_state_size(n),):
@@ -155,17 +153,17 @@ class BundleState:
         self._popcount = pop
 
     @classmethod
-    def iid(cls, n: int, p_wrong: float) -> "BundleState":
-        """Every wire wrong independently with probability p_wrong."""
+    def iid(cls, n: int, p_one: float) -> "BundleState":
+        """Every wire at 1 independently with probability p_one."""
         state = cls(n, np.empty(_state_size(n)))
         pop = state._popcount
-        if p_wrong <= 0.0:
+        if p_one <= 0.0:
             state.probs = np.where(pop == 0, 1.0, 0.0)
-        elif p_wrong >= 1.0:
+        elif p_one >= 1.0:
             state.probs = np.where(pop == n, 1.0, 0.0)
         else:
-            state.probs = np.exp(pop * math.log(p_wrong)
-                                 + (n - pop) * math.log1p(-p_wrong))
+            state.probs = np.exp(pop * math.log(p_one)
+                                 + (n - pop) * math.log1p(-p_one))
         return state
 
     def apply_noise(self, eps_p: float):
@@ -178,72 +176,61 @@ class BundleState:
             self.probs = ((1.0 - eps_p) * axes
                           + eps_p * axes[:, ::-1, :]).reshape(-1)
 
-    def apply_wiring_layer(self, offsets: tuple[tuple[int, int], ...],
-                           rule: str):
-        """Push forward through one NAND layer; output wire i reads input
-        wires offsets[i] = (a_i, b_i).  rule is EITHER or BOTH on the
-        wrong-bit indicators."""
+    def apply_wiring_layer(self, offsets: tuple[tuple[int, int], ...]):
+        """Push forward through one NAND layer; output wire i is the NAND
+        of input wires offsets[i] = (a_i, b_i)."""
         idx = self._index
         out = np.zeros(1 << self.n, dtype=np.int64)
         for i, (a, b) in enumerate(offsets):
-            bit_a = (idx >> a) & 1
-            bit_b = (idx >> b) & 1
-            bit = (bit_a | bit_b) if rule == EITHER else (bit_a & bit_b)
-            out |= bit << i
+            out |= ((idx >> a) & (idx >> b) & 1) << i
+        out ^= (1 << self.n) - 1
         self.probs = np.bincount(out, weights=self.probs,
                                  minlength=1 << self.n)
 
-    def combine_iid_nand(self, rule: str):
+    def combine_iid_nand(self):
         """Replace the state by the NAND-layer output of two i.i.d.
         bundles each distributed as the current state (wire i reads wire
         i of both copies).
 
-        EITHER (out_i = a_i | b_i) is a subset-space square; BOTH
-        (out_i = a_i & b_i) a superset-space square.
+        The superset sums of the law of a & b are the squares of those of
+        the state; Moebius inversion recovers that law, and reversing the
+        array complements every wire.
         """
         t = self.probs.copy()
         idx = self._index
-        if rule == BOTH:
-            for k in range(self.n):
-                low = (idx >> k) & 1 == 0
-                t[low] += t[low.nonzero()[0] | (1 << k)]
-            t *= t
-            for k in range(self.n):
-                low = (idx >> k) & 1 == 0
-                t[low] -= t[low.nonzero()[0] | (1 << k)]
-        else:
-            for k in range(self.n):
-                hi = (idx >> k) & 1 == 1
-                t[hi] += t[hi.nonzero()[0] & ~(1 << k)]
-            t *= t
-            for k in range(self.n):
-                hi = (idx >> k) & 1 == 1
-                t[hi] -= t[hi.nonzero()[0] & ~(1 << k)]
-        self.probs = np.maximum(t, 0.0)
+        for k in range(self.n):
+            low = (idx >> k) & 1 == 0
+            t[low] += t[low.nonzero()[0] | (1 << k)]
+        t *= t
+        for k in range(self.n):
+            low = (idx >> k) & 1 == 0
+            t[low] -= t[low.nonzero()[0] | (1 << k)]
+        self.probs = np.maximum(t[::-1], 0.0)
 
-    def rotate(self, shift: int):
-        """Cyclically relabel wires: wire i becomes wire (i+shift) mod n."""
-        shift %= self.n
-        idx = self._index
-        rotated = ((idx << shift) | (idx >> (self.n - shift))) & ((1 << self.n) - 1)
-        out = np.zeros_like(self.probs)
-        out[rotated] = self.probs
-        self.probs = out
-
-    def wrong_count_distribution(self) -> np.ndarray:
-        """Distribution of the number of wrong wires; length n + 1."""
-        return np.bincount(self._popcount, weights=self.probs,
-                           minlength=self.n + 1)[: self.n + 1]
+    def wrong_count_distribution(self, encoded: int) -> np.ndarray:
+        """Distribution of the number of wires that differ from the
+        encoded value; length n + 1."""
+        probs = self.probs[::-1] if encoded else self.probs
+        return np.bincount(self._popcount, weights=probs,
+                           minlength=self.n + 1)
 
 
 def _apply_ec_block(state: BundleState, depth: int, eps_p: float,
-                    wiring: str, first_rule: str):
-    rule = first_rule
+                    wiring: str):
     for layer in range(1, depth + 1):
-        state.apply_wiring_layer(
-            transform.ec_offsets(state.n, layer, wiring), rule)
+        state.apply_wiring_layer(transform.ec_offsets(state.n, layer, wiring))
         state.apply_noise(eps_p)
-        rule = BOTH if rule == EITHER else EITHER
+
+
+def _block_input_error(params: FtParams, block: str) -> float:
+    """Per-wire error of the encoded-0 bundle that the EC block reads:
+    delta for a bare "ec" block; for a "gadget", the output of the
+    computation layer, whose inputs encode 1 (the NAND worst case)."""
+    if block == "ec":
+        return params.delta
+    if block == "gadget":
+        return computation_error(params.delta, params.eps_p)
+    raise ValueError(f"unknown block kind: {block}")
 
 
 def exact_stage_error(params: FtParams, block: str = "gadget",
@@ -258,46 +245,29 @@ def exact_stage_error(params: FtParams, block: str = "gadget",
     wrong wires.  stages > 1 (gadget only) chains gadgets, each reading
     two independent copies of the previous output.
     """
-    n, depth = params.n, params.depth
-    eps_p, delta = params.eps_p, params.delta
     if stages < 1:
         raise ValueError("stages must be >= 1")
-    if block == "ec":
-        if stages != 1:
-            raise ValueError("multi-stage applies to gadget blocks only")
-        state = BundleState.iid(n, delta)
-        _apply_ec_block(state, depth, eps_p, wiring, first_rule=BOTH)
-        return state.wrong_count_distribution()
-    if block != "gadget":
-        raise ValueError(f"unknown block kind: {block}")
-
-    # inputs to the first computation layer encode 1 (NAND worst case);
-    # its outputs are i.i.d., so the joint state starts as a product
-    state = BundleState.iid(n, computation_error(delta, eps_p))
-    comp_rule = EITHER
+    if block == "ec" and stages != 1:
+        raise ValueError("multi-stage applies to gadget blocks only")
+    # the computation layer's outputs are i.i.d., so the joint state
+    # starts as a product over an encoded-0 bundle
+    state = BundleState.iid(params.n, _block_input_error(params, block))
     for stage in range(stages):
         if stage > 0:
-            comp_rule = BOTH if comp_rule == EITHER else EITHER
-            state.combine_iid_nand(comp_rule)
-            state.apply_noise(eps_p)
-        ec_first = BOTH if comp_rule == EITHER else EITHER
-        _apply_ec_block(state, depth, eps_p, wiring, first_rule=ec_first)
-    return state.wrong_count_distribution()
-
-
-def formula_stage_error_rate(params: FtParams, block: str = "gadget") -> float:
-    """Per-wire error of the fan-out-1 (tree) variant of a block, where
-    every wire is independent; the wrong-count law is then binomial."""
-    if block == "gadget":
-        return stage_error(params.depth, params.eps_p, params.delta)
-    if block == "ec":
-        return ec_error(params.depth, params.eps_p, params.delta)
-    raise ValueError(f"unknown block kind: {block}")
+            state.combine_iid_nand()
+            state.apply_noise(params.eps_p)
+        _apply_ec_block(state, params.depth, params.eps_p, wiring)
+    # the first stage ends at encoded 0; each later stage's computation
+    # layer flips the encoded value, which its D (even) EC layers keep
+    return state.wrong_count_distribution((stages - 1) % 2)
 
 
 def formula_wrong_count_distribution(params: FtParams,
                                      block: str = "gadget") -> np.ndarray:
-    return binom_pmf(params.n, formula_stage_error_rate(params, block))
+    """Wrong-count law of the fan-out-1 (tree) variant of a block, where
+    every wire is independent: binomial in the per-wire error."""
+    return binom_pmf(params.n, ec_error(params.depth, params.eps_p,
+                                        _block_input_error(params, block)))
 
 
 def tail_probability(dist: np.ndarray, threshold: int) -> float:

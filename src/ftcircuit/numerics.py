@@ -11,7 +11,7 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.special import erfc, erfcx, gammaln, logsumexp
+from scipy.special import erfcinv, gammaln, logsumexp
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -137,43 +137,10 @@ def wilson_interval(successes: int, trials: int,
 
 
 def inverse_erfc(y: float) -> float:
-    """x such that erfc(x) = y, for y in (0, 2), to relative 1e-12.
-
-    Newton iteration on log erfc for small y (the asymptotic start
-    x ~ sqrt(log(2/(y^2 pi x^2))) keeps it quadratic even at y ~ 1e-300),
-    plain Newton near the center.
-    """
+    """x such that erfc(x) = y, for y in (0, 2)."""
     if not 0.0 < y < 2.0:
         raise ValueError(f"inverse_erfc domain is (0, 2), got {y}")
-    if y == 1.0:
-        return 0.0
-    if y > 1.0:
-        return -inverse_erfc(2.0 - y)
-    if y > 0.1:
-        x = 0.0
-        for _ in range(60):
-            step = (erfc(x) - y) / (-2.0 / math.sqrt(math.pi) * math.exp(-x * x))
-            x -= step
-            if abs(step) <= 1e-15 * max(1.0, abs(x)):
-                break
-        return x
-    # erfc(x) ~ exp(-x^2)/(x sqrt(pi)); iterate x^2 = -log(y sqrt(pi) x)
-    t = -math.log(y)
-    x = math.sqrt(t)
-    for _ in range(4):
-        x = math.sqrt(t - math.log(math.sqrt(math.pi) * x))
-    log_y = math.log(y)
-    for _ in range(60):
-        # Newton on log erfc; the scaled erfcx(x) = exp(x^2) erfc(x)
-        # keeps both residual and derivative finite at large x
-        s = float(erfcx(x))
-        resid = math.log(s) - x * x - log_y
-        deriv = -2.0 / (math.sqrt(math.pi) * s)
-        step = resid / deriv
-        x -= step
-        if abs(step) <= 1e-14 * x:
-            break
-    return x
+    return float(erfcinv(y))
 
 
 def ols_fit(x, y) -> tuple[float, float, float]:

@@ -32,8 +32,11 @@ def test_analyze_depth4(capsys):
 
 
 def test_analyze_above_threshold(capsys):
-    with pytest.raises(SystemExit):
-        main(["analyze", "--depth", "2", "--eps-p", "0.02"])
+    code, out, err = run_cli(capsys, "analyze", "--depth", "2",
+                             "--eps-p", "0.02")
+    assert code == 1
+    assert out == ""
+    assert "pseudothreshold" in err
 
 
 def test_threshold(capsys):
@@ -134,6 +137,15 @@ def test_phase_command(capsys):
     assert lines[1] == "axis1,axis2,eta_exact,eta_asymptotic,regime"
     assert len(lines) == 11
     assert any(line.endswith("FT") for line in lines[2:])
+
+
+def test_phase_rejects_bad_axis(capsys):
+    code, out, err = run_cli(
+        capsys, "phase", "--tail", "pareto", "--wp-ratio", "3e2",
+        "--axis1", "eps_p=0.003:0.008", "--axis2", "eps_l=1e-25:1e-15:3:log")
+    assert code == 1
+    assert out == ""
+    assert "bad axis spec" in err
 
 
 def test_config_file_overrides(capsys, tmp_path):
