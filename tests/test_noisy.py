@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -122,6 +123,80 @@ def test_monte_carlo_sample_floor():
     net = gadget_network(FtParams(5, 2, 0.005, 0.058))
     with pytest.raises(ValueError):
         monte_carlo_logical_error(net, 0.058, samples=100, seed=0)
+
+
+@pytest.mark.parametrize("rate", [1e-20, 5e-324])
+def test_monte_carlo_tiny_rates(rate):
+    # geometric gaps saturate at 2^63 - 1 below about 1e-19; the sampler
+    # must neither overflow nor warn
+    net = gadget_network(FtParams(5, 2, rate, rate))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = monte_carlo_logical_error(net, 0.058, samples=20_000, seed=3)
+    assert est.mean == 0.0
+
+
+@pytest.mark.parametrize("block", ["gadget", "ec"])
+@pytest.mark.parametrize("flip", [0, 1])
+def test_monte_carlo_padding_lanes(block, flip):
+    # 10,007 samples leave 25 padding bits in the last word; noiseless
+    # gates must count none of them, whichever value the outputs carry
+    base = gadget_network(FtParams(5, 2, 0.0, 0.0), block=block)
+    reference = {w: v ^ flip for w, v in base.reference.items()}
+    net = induce_network(base.circuit, 0.0, 0.0, reference)
+    outputs = {net.reference_values[w] for w in net.circuit.outputs}
+    assert outputs == {flip}
+    est = monte_carlo_logical_error(net, 0.058, samples=10_007, seed=4)
+    assert est.mean == 0.0
+
+
+def _unpack(words):
+    """Sample bits of packed words, bit j of word w at index 64w + j."""
+    return np.unpackbits(words.astype("<u8").view(np.uint8),
+                         bitorder="little")
+
+
+@pytest.mark.parametrize("p", [1e-6, 0.01,
+                               np.nextafter(noisy._SPARSE_BELOW, 0.0),
+                               noisy._SPARSE_BELOW, 0.0716, 0.136, 0.4999])
+def test_bernoulli_words_law(p):
+    m = (1 << 22) + 37
+    words = noisy._bernoulli_words(np.random.default_rng(12), p, m)
+    assert words.shape == ((m + 63) // 64,)
+    assert words[-1] >> np.uint64(37) == 0
+    bits = _unpack(words).reshape(-1, 64)
+    assert abs(bits.sum() / m - p) <= 5 * np.sqrt(p * (1 - p) / m)
+    lane_n = bits.shape[0] - 1
+    if p * lane_n >= 10:
+        # at 1e-6 a lane expects 0.07 ones, too few for a 5 sigma band
+        lanes = bits[:-1].sum(axis=0) / lane_n
+        assert (abs(lanes - p) <= 5 * np.sqrt(p * (1 - p) / lane_n)).all()
+
+
+@pytest.mark.parametrize("count", [1, 3, 7, 8, 21])
+def test_at_least_counts_like_a_loop(count):
+    rng = np.random.default_rng(count)
+    wrong = [rng.bit_generator.random_raw(50) for _ in range(count)]
+    per_lane = sum(_unpack(w).astype(int) for w in wrong)
+    for threshold in range(1, count + 2):
+        got = noisy._at_least(wrong, threshold, noisy._lanes(64 * 50))
+        assert (_unpack(got) == (per_lane >= threshold)).all()
+
+
+@pytest.mark.parametrize("n,depth,delta", [(5, 2, 0.058), (7, 2, 0.058),
+                                           (5, 4, 0.104)])
+def test_monte_carlo_matches_exact_whole_law(n, depth, delta):
+    # one seeded sample set, read at every threshold k = 1..n
+    samples = 1_000_000
+    p = FtParams(n, depth, 0.005, delta)
+    dist = exact_stage_error(p)
+    net = gadget_network(p)
+    for k in range(1, n + 1):
+        est = monte_carlo_logical_error(net, (k - 0.5) / n, samples,
+                                        seed=2026)
+        tail = tail_probability(dist, k)
+        assert abs(est.mean - tail) <= 5 * np.sqrt(tail * (1 - tail)
+                                                   / samples), k
 
 
 def test_formula_variant_matches_binomial():
