@@ -114,7 +114,12 @@ def pseudothreshold(depth: int, tol: float = 1e-7) -> float:
 def optimal_fiducial(depth: int, eps_p: float) -> float:
     """The fiducial rate maximizing (delta - f)/sqrt(f(1-f)), the sqrt(n)
     coefficient of the normal-approximation logical error exponent."""
-    window = fixed_points(depth, eps_p)
+    return _fiducial_in(depth, eps_p, fixed_points(depth, eps_p))
+
+
+def _fiducial_in(depth: int, eps_p: float,
+                 window: AmplificationWindow) -> float:
+    """optimal_fiducial, given the window fixed_points returns."""
     if not window.exists:
         raise ValueError(
             f"eps_p={eps_p} is at or above the depth-{depth} pseudothreshold")

@@ -65,7 +65,7 @@ def _tail_model(args: argparse.Namespace) -> resource.TailModel:
 def cmd_analyze(args) -> dict:
     threshold = analytic.pseudothreshold(args.depth)
     window = analytic.fixed_points(args.depth, args.eps_p)
-    delta_opt = analytic.optimal_fiducial(args.depth, args.eps_p)
+    delta_opt = analytic._fiducial_in(args.depth, args.eps_p, window)
     return {
         "pseudothreshold": threshold,
         "delta_lo": window.delta_lo,

@@ -138,20 +138,45 @@ def _state_size(n: int) -> int:
     return 1 << n
 
 
+def _bit_sums(weights) -> np.ndarray:
+    """For each of the 2^n states s, the sum of weights[j] over the set
+    bits j of s, built by doubling: the states in [2^j, 2^(j+1)) are
+    those below 2^j shifted by weights[j]."""
+    out = np.zeros(1 << len(weights), dtype=np.int64)
+    for j, w in enumerate(weights):
+        np.add(out[:1 << j], w, out=out[1 << j:2 << j])
+    return out
+
+
+def _mix_flips(x: np.ndarray, eps_p: float, runs: list[int]) -> np.ndarray:
+    """For each run length r in turn, x <- (1 - eps_p) x + eps_p x[flip],
+    where the flip swaps neighbouring runs of r entries.  Overwrites x."""
+    out = np.empty_like(x)
+    flipped = np.empty_like(x)
+    for r in runs:
+        pairs = x.reshape(-1, 2, r)
+        np.multiply(pairs, 1.0 - eps_p, out=out.reshape(pairs.shape))
+        np.multiply(pairs[:, ::-1, :], eps_p, out=flipped.reshape(pairs.shape))
+        out += flipped
+        x, out = out, x
+    return x
+
+
 class BundleState:
     """Joint law of the wire values of an n-wire bundle: state s sets
-    wire i to (s >> i) & 1."""
+    wire i to (s >> i) & 1.
+
+    Index arrays take O(2^n) work, built by doubling over the bits
+    (_bit_sums): the popcount, and a NAND layer's pushforward index,
+    the complement of (the state's bits moved to the outputs that read
+    them as first input) & (the same for the second input)."""
 
     def __init__(self, n: int, probs: np.ndarray):
         if probs.shape != (_state_size(n),):
             raise ValueError("state size mismatch")
         self.n = n
         self.probs = probs
-        self._index = np.arange(1 << n, dtype=np.int64)
-        pop = np.zeros(1 << n, dtype=np.int64)
-        for k in range(n):
-            pop += (self._index >> k) & 1
-        self._popcount = pop
+        self._popcount = _bit_sums([1] * n)
 
     @classmethod
     def iid(cls, n: int, p_one: float) -> "BundleState":
@@ -163,8 +188,9 @@ class BundleState:
         elif p_one >= 1.0:
             state.probs = np.where(pop == n, 1.0, 0.0)
         else:
-            state.probs = np.exp(pop * math.log(p_one)
-                                 + (n - pop) * math.log1p(-p_one))
+            k = np.arange(n + 1)
+            state.probs = np.exp(k * math.log(p_one)
+                                 + (n - k) * math.log1p(-p_one))[pop]
         return state
 
     def apply_noise(self, eps_p: float):
@@ -172,18 +198,28 @@ class BundleState:
         for each wire k, p <- (1 - eps_p) p + eps_p p[k flipped]."""
         if eps_p == 0.0:
             return
-        for k in range(self.n):
-            axes = self.probs.reshape(-1, 2, 1 << k)
-            self.probs = ((1.0 - eps_p) * axes
-                          + eps_p * axes[:, ::-1, :]).reshape(-1)
+        # the low wires are mixed on a transposed copy, where state
+        # hi 2^low + lo sits at lo 2^m + hi: the states that a flip of a
+        # low wire pairs then form long contiguous runs
+        low = self.n // 2
+        m = self.n - low
+        x = self.probs.reshape(1 << m, 1 << low).T.copy().reshape(-1)
+        x = _mix_flips(x, eps_p, [1 << (m + k) for k in range(low)])
+        x = x.reshape(1 << low, 1 << m).T.copy().reshape(-1)
+        self.probs = _mix_flips(x, eps_p, [1 << k for k in range(low, self.n)])
 
     def apply_wiring_layer(self, offsets: tuple[tuple[int, int], ...]):
         """Push forward through one NAND layer; output wire i is the NAND
         of input wires offsets[i] = (a_i, b_i)."""
-        idx = self._index
-        out = np.zeros(1 << self.n, dtype=np.int64)
+        # first[j] (second[j]) marks the gates whose first (second)
+        # input is wire j; each output bit reads one input bit, so the
+        # bit sums are ORs
+        first = [0] * self.n
+        second = [0] * self.n
         for i, (a, b) in enumerate(offsets):
-            out |= ((idx >> a) & (idx >> b) & 1) << i
+            first[a] |= 1 << i
+            second[b] |= 1 << i
+        out = _bit_sums(first) & _bit_sums(second)
         out ^= (1 << self.n) - 1
         self.probs = np.bincount(out, weights=self.probs,
                                  minlength=1 << self.n)
@@ -198,14 +234,13 @@ class BundleState:
         array complements every wire.
         """
         t = self.probs.copy()
-        idx = self._index
         for k in range(self.n):
-            low = (idx >> k) & 1 == 0
-            t[low] += t[low.nonzero()[0] | (1 << k)]
+            pairs = t.reshape(-1, 2, 1 << k)
+            pairs[:, 0, :] += pairs[:, 1, :]
         t *= t
         for k in range(self.n):
-            low = (idx >> k) & 1 == 0
-            t[low] -= t[low.nonzero()[0] | (1 << k)]
+            pairs = t.reshape(-1, 2, 1 << k)
+            pairs[:, 0, :] -= pairs[:, 1, :]
         self.probs = np.maximum(t[::-1], 0.0)
 
     def wrong_count_distribution(self, encoded: int) -> np.ndarray:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ftcircuit
-from ftcircuit import noisy
+from ftcircuit import noisy, transform
 from ftcircuit.circuit import CircuitError, GateLabel, parse_circuit
 from ftcircuit.noisy import (BundleState, ErrorEstimate, ExactEngineError,
                              circuit_logical_error, exact_stage_error,
@@ -389,3 +389,66 @@ def test_formula_chi_leaves_scipy_stats_unimported():
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "False"
+
+
+def _random_state(n, seed):
+    # a non-product law: every entry independent, none zero
+    probs = np.random.default_rng(seed).random(1 << n) + 0.01
+    return BundleState(n, probs / probs.sum())
+
+
+@pytest.mark.parametrize("wiring", ["offset-doubling", "unit", "shared"])
+def test_wiring_layer_matches_enumeration(wiring):
+    # offsets wrap once 2^(l-1) >= n, and 1 % n is 0 at n = 1
+    for n in range(1, 9):
+        for layer in range(1, 5):
+            offsets = transform.ec_offsets(n, layer, wiring)
+            state = _random_state(n, 100 * n + layer)
+            want = np.zeros(1 << n)
+            for s, p in enumerate(state.probs):
+                t = 0
+                for i, (a, b) in enumerate(offsets):
+                    t |= (1 - ((s >> a) & (s >> b) & 1)) << i
+                want[t] += p
+            state.apply_wiring_layer(offsets)
+            # the same sums in the same order
+            np.testing.assert_array_equal(state.probs, want,
+                                          err_msg=f"n={n} l={layer}")
+
+
+def test_noise_matches_per_wire_mixing():
+    # the transposed layout does the per-wire mixing's arithmetic
+    eps = 0.005
+    for n in range(1, 10):
+        state = _random_state(n, n)
+        want = state.probs.copy()
+        for k in range(n):
+            for s in range(1 << n):
+                if not (s >> k) & 1:
+                    lo, hi = want[s], want[s | 1 << k]
+                    want[s] = (1.0 - eps) * lo + eps * hi
+                    want[s | 1 << k] = (1.0 - eps) * hi + eps * lo
+        state.apply_noise(eps)
+        np.testing.assert_array_equal(state.probs, want, err_msg=f"n={n}")
+
+
+def test_popcount_matches_enumeration():
+    for n in range(9):
+        pop = BundleState(n, np.zeros(1 << n))._popcount
+        assert pop.tolist() == [bin(s).count("1") for s in range(1 << n)]
+
+
+def test_combine_iid_nand_matches_two_copy_enumeration():
+    # the law of 1 - (x & y) for independent x, y drawn from the state
+    for n in range(1, 7):
+        state = _random_state(n, n)
+        probs = state.probs.copy()
+        want = np.zeros(1 << n)
+        for x in range(1 << n):
+            for y in range(1 << n):
+                want[~(x & y) & ((1 << n) - 1)] += probs[x] * probs[y]
+        state.combine_iid_nand()
+        big = want > 1e-6
+        assert big.any()
+        np.testing.assert_allclose(state.probs[big], want[big], rtol=1e-12,
+                                   atol=0, err_msg=f"n={n}")
