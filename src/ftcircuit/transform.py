@@ -61,18 +61,25 @@ def decode_bits(bits: Sequence[int]) -> int:
     return 1 if 2 * sum(bits) > len(bits) else 0
 
 
+def ring_offset(n: int, layer: int, wiring: str) -> int | None:
+    """The offset off in [0, n) of a circulant EC layer l, whose gate i
+    reads wires i and i - off mod n; None for the shared wiring."""
+    if wiring == WIRING_SHARED:
+        return None
+    if wiring == WIRING_OFFSET_DOUBLING:
+        return (1 << (layer - 1)) % n
+    if wiring == WIRING_UNIT:
+        return 1 % n
+    raise ValueError(f"unknown wiring rule: {wiring}")
+
+
 def ec_offsets(n: int, layer: int,
                wiring: str) -> tuple[tuple[int, int], ...]:
     """For each gate i of EC layer l, the two wires of layer l - 1 it
     reads: (i, i - off mod n), or wires 0 and 1 under the shared wiring."""
-    if wiring == WIRING_SHARED:
+    off = ring_offset(n, layer, wiring)
+    if off is None:
         return ((0, 1 % n),) * n
-    if wiring == WIRING_OFFSET_DOUBLING:
-        off = (1 << (layer - 1)) % n
-    elif wiring == WIRING_UNIT:
-        off = 1 % n
-    else:
-        raise ValueError(f"unknown wiring rule: {wiring}")
     return tuple((i, (i - off) % n) for i in range(n))
 
 

@@ -17,6 +17,7 @@ from ftcircuit.noisy import (BundleState, ErrorEstimate, ExactEngineError,
                              monte_carlo_logical_error, tail_probability,
                              tree_error_marginals)
 from ftcircuit.transform import FtParams, build_formula_gadget, build_ft_gadget
+from ftcircuit.analytic import resolve_delta
 from ftcircuit.circuit import NAND
 from ftcircuit.numerics import binom_tail
 
@@ -88,8 +89,16 @@ def test_exact_distribution_normalized_nonnegative():
 
 
 def test_exact_engine_cap():
+    # D = 4 offset-doubling has a 15-bit ring frontier: only the 2^n
+    # engine serves it, up to its cap
     with pytest.raises(ExactEngineError, match="Monte Carlo"):
-        exact_stage_error(FtParams(16, 2, 0.005, 0.058))
+        exact_stage_error(FtParams(16, 4, 0.005, 0.104))
+    for n in (16, 17):
+        dist = exact_stage_error(FtParams(n, 2, 0.005, 0.058))
+        assert dist.shape == (n + 1,)
+        est = circuit_logical_error(FtParams(n, 2, 0.005, 0.058),
+                                    method="exact")
+        assert est.method == "exact"
 
 
 def test_exact_vs_monte_carlo():
@@ -232,10 +241,14 @@ def test_n1_circuit_is_serial_chain():
 def test_auto_method_selection():
     small = circuit_logical_error(FtParams(5, 2, 0.005, 0.058))
     assert small.method == "exact"
-    big = circuit_logical_error(FtParams(17, 2, 0.005, 0.058),
+    big = circuit_logical_error(FtParams(17, 4, 0.005, 0.104),
                                 samples=20_000, seed=1)
     assert big.method == "monte_carlo"
     assert big.samples == 20_000
+    # the ring engine serves D = 2 at any n
+    for n in (16, 17):
+        ring = circuit_logical_error(FtParams(n, 2, 0.005, 0.058))
+        assert ring.method == "exact"
 
 
 def test_cyclic_symmetry():
@@ -344,18 +357,20 @@ def test_exact_engine_deep_tail_matches_fraction_oracle():
     assert abs(got - want) <= 1e-12 * want
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-@pytest.mark.parametrize("block,wiring,stages", [
-    ("ec", "offset-doubling", 1),
-    ("gadget", "unit", 1),
-    ("gadget", "offset-doubling", 2),
-    ("gadget", "offset-doubling", 3),
-])
+_ORACLE_ROWS = [("ec", "offset-doubling", 1), ("gadget", "unit", 1),
+                ("gadget", "offset-doubling", 2),
+                ("gadget", "offset-doubling", 3)]
+
+
+@pytest.mark.parametrize("block,wiring,stages,n", [
+    row + (n,) for row in _ORACLE_ROWS for n in (2, 3, 4, 5)] + [
+    row + (n,) for row in _ORACLE_ROWS[:2] for n in (6, 7)])
 def test_exact_law_matches_fraction_oracle(request, n, block, wiring,
                                            stages):
     # every tail, for the reads a slip in the encoded value would
     # corrupt: the ec start, the unit wiring, and chains whose output
-    # encodes 1 (two stages) or 0 (three)
+    # encodes 1 (two stages) or 0 (three); the one-stage rows run on the
+    # ring engine from n = 3 (offset-doubling) and n = 2 (unit)
     if (stages, n) == (3, 5):
         request.applymarker(pytest.mark.xfail(
             strict=True, reason="the combine of two encoded-1 bundles "
@@ -452,3 +467,83 @@ def test_combine_iid_nand_matches_two_copy_enumeration():
         assert big.any()
         np.testing.assert_allclose(state.probs[big], want[big], rtol=1e-12,
                                    atol=0, err_msg=f"n={n}")
+
+
+def _bundle_block_law(p, block, wiring):
+    """The one-stage count law on the 2^n engine, outside the dispatch."""
+    state = BundleState.iid(p.n, noisy._block_input_error(p, block))
+    noisy._apply_ec_block(state, p.depth, p.eps_p, wiring)
+    return state.wrong_count_distribution(0)
+
+
+@pytest.mark.parametrize("eps_p,delta", [(0.005, "optimal"), (1e-4, 1e-3),
+                                         (5e-5, 5e-4), (0.0, 0.05)])
+@pytest.mark.parametrize("wiring,depth,first", [("offset-doubling", 2, 3),
+                                                ("unit", 2, 2),
+                                                ("unit", 4, 2)])
+@pytest.mark.parametrize("block", ["gadget", "ec"])
+def test_ring_engine_matches_bundle_engine(block, wiring, depth, first,
+                                           eps_p, delta):
+    # the ring engine serves every n from the first whose offsets all lie
+    # in [1, n - 1]; wherever it does, it must give the 2^n engine's law
+    delta = resolve_delta(depth, eps_p, delta)
+    served = []
+    for n in range(1, 16):
+        p = FtParams(n, depth, eps_p, delta)
+        if noisy._ring_offsets(p, wiring, 1) is not None:
+            served.append(n)
+        want = _bundle_block_law(p, block, wiring)
+        got = exact_stage_error(p, block, wiring)
+        assert (got >= 0.0).all()
+        assert abs(got.sum() - 1.0) <= 1e-12
+        big = want > 1e-300
+        np.testing.assert_allclose(got[big], want[big], rtol=1e-12, atol=0,
+                                   err_msg=f"n={n}")
+    assert served == list(range(first, 16))
+
+
+def test_ring_engine_predicate():
+    p = FtParams(9, 2, 0.005, 0.058)
+    assert noisy._ring_offsets(p, "offset-doubling", 1) == [1, 2]
+    assert noisy._ring_offsets(p, "unit", 1) == [1, 1]
+    # multi-stage chains, the shared wiring, a 15-bit frontier (D = 4
+    # offset-doubling) and a wrapped offset stay on the 2^n engine
+    assert noisy._ring_offsets(p, "offset-doubling", 2) is None
+    assert noisy._ring_offsets(p, "shared", 1) is None
+    assert noisy._ring_offsets(FtParams(9, 4, 0.005, 0.104),
+                               "offset-doubling", 1) is None
+    assert noisy._ring_offsets(FtParams(2, 2, 0.005, 0.058),
+                               "offset-doubling", 1) is None
+
+
+@pytest.mark.parametrize("n", [17, 21])
+def test_ring_engine_matches_monte_carlo_beyond_cap(n):
+    samples = 1_000_000
+    p = FtParams(n, 2, 0.01, resolve_delta(2, 0.01, "optimal"))
+    tail = tail_probability(exact_stage_error(p), n // 2 + 1)
+    est = monte_carlo_logical_error(gadget_network(p), None, samples,
+                                    seed=2027)
+    assert abs(est.mean - tail) <= 5 * np.sqrt(tail * (1 - tail) / samples)
+
+
+@pytest.mark.parametrize("rate", [1e-200, 5e-324])
+def test_ring_engine_extreme_rates(rate):
+    # step weights near underflow put consecutive counts' scales more than
+    # 2^1024 apart; the law must stay finite, without a warning
+    for n in (5, 40):
+        for block in ("gadget", "ec"):
+            dist = exact_stage_error(FtParams(n, 2, rate, rate), block)
+            assert np.isfinite(dist).all() and (dist >= 0.0).all()
+            assert abs(dist.sum() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("block", ["gadget", "ec"])
+def test_ring_engine_large_n(block):
+    tails = []
+    for n in (101, 301):
+        dist = exact_stage_error(FtParams(n, 2, 0.005, 0.058), block)
+        assert dist.shape == (n + 1,)
+        assert (dist >= 0.0).all()
+        assert abs(dist.sum() - 1.0) <= 1e-12
+        tails.append(tail_probability(dist, n // 2 + 1))
+    assert 0.0 < tails[1] < tails[0]
