@@ -4,9 +4,10 @@ One stage is a computation NAND followed by D error-correction layers.
 The worst-case per-wire error after the stage, as a function of the
 input wrong-wire rate Delta, is the stage error curve f(Delta).  Its
 fixed points bound the amplification window; the largest physical error
-rate for which the window exists is the pseudothreshold.  Logical error
-rates follow from a binomial tail because formula (fan-out-1) gadgets
-have independent output wires.
+rate for which the window exists is the pseudothreshold.  An operating
+point (D, eps_p, delta) in the window carries f(delta) and the code-size
+coefficient.  Logical error rates follow from a binomial tail because
+formula (fan-out-1) gadgets have independent output wires.
 """
 from __future__ import annotations
 
@@ -74,17 +75,66 @@ def stage_error_depth2_closed_form(eps_p: float, delta: float) -> float:
     return 1.0 - eps_p + g * inner * inner
 
 
+def _is_optimal(delta) -> bool:
+    """Whether a delta spec asks for the optimal fiducial rate."""
+    return delta is None or delta == "optimal"
+
+
+@dataclass(frozen=True)
+class OperatingPoint:
+    """A fiducial rate delta at (depth, eps_p) that the stage amplifies,
+    f = f(delta) < delta, with the leading coefficient of the code size
+    n ~ coefficient * ln(1/eps_l): 2f(1-f)/(f-delta)^2."""
+
+    depth: int
+    eps_p: float
+    delta: float
+    f: float
+    coefficient: float
+
+
 @dataclass(frozen=True)
 class AmplificationWindow:
-    """Fixed points of the stage error curve; f < identity between them."""
+    """Fixed points of the stage error curve of (depth, eps_p); f <
+    identity between them."""
 
+    depth: int
+    eps_p: float
     exists: bool
     delta_lo: float = math.nan
     delta_hi: float = math.nan
 
+    def point(self, delta="optimal") -> OperatingPoint:
+        """The operating point at delta; "optimal" (or None) selects the
+        delta in the window maximizing (delta - f)/sqrt(f(1-f)), the
+        sqrt(n) coefficient of the normal-approximation logical error
+        exponent.  Raises ValueError when that window does not exist or
+        f(delta) >= delta, which holds exactly outside the fixed points."""
+        depth, eps_p = self.depth, self.eps_p
+        if _is_optimal(delta):
+            if not self.exists:
+                raise ValueError(f"eps_p={eps_p} is at or above the "
+                                 f"depth-{depth} pseudothreshold")
 
-def fixed_points(depth: int, eps_p: float, tol: float = 1e-10) -> AmplificationWindow:
-    """Locate the fixed points of f(delta) = delta by bisection.
+            def score(d: float) -> float:
+                f = stage_error(depth, eps_p, d)
+                return (d - f) / math.sqrt(f * (1.0 - f))
+
+            delta = golden_max(score, self.delta_lo, self.delta_hi,
+                               tol=1e-8)[0]
+        else:
+            delta = float(delta)
+        f = stage_error(depth, eps_p, delta)
+        if not f < delta:
+            raise ValueError(
+                f"delta={delta} is outside the amplification window; "
+                "the signal is not amplified")
+        return OperatingPoint(depth, eps_p, delta, f,
+                              2.0 * f * (1.0 - f) / (f - delta) ** 2)
+
+
+def fixed_points(depth: int, eps_p: float) -> AmplificationWindow:
+    """Locate the fixed points of f(delta) = delta by bisection, to 1e-10.
 
     Returns exists=False when f lies above the identity on all of
     (0, 1/2), i.e. eps_p is at or above the pseudothreshold.
@@ -94,46 +144,32 @@ def fixed_points(depth: int, eps_p: float, tol: float = 1e-10) -> AmplificationW
     gap = lambda d: stage_error(depth, eps_p, d) - d
     d_min, g_min = golden_min(gap, 0.0, 0.5 - 1e-12, tol=1e-12)
     if g_min > 0.0:
-        return AmplificationWindow(False)
-    lo = bisect(gap, 0.0, d_min, tol=tol)
-    hi = bisect(gap, d_min, 0.5 - 1e-12, tol=tol)
-    return AmplificationWindow(True, lo, hi)
+        return AmplificationWindow(depth, eps_p, False)
+    lo = bisect(gap, 0.0, d_min, tol=1e-10)
+    hi = bisect(gap, d_min, 0.5 - 1e-12, tol=1e-10)
+    return AmplificationWindow(depth, eps_p, True, lo, hi)
 
 
-def pseudothreshold(depth: int, tol: float = 1e-7) -> float:
-    """Largest eps_p for which the amplification window exists."""
+def pseudothreshold(depth: int) -> float:
+    """Largest eps_p for which the amplification window exists, to 1e-7."""
     check_depth(depth)
 
     def window_gap(eps_p: float) -> float:
         gap = lambda d: stage_error(depth, eps_p, d) - d
         return golden_min(gap, 0.0, 0.5 - 1e-12, tol=1e-10)[1]
 
-    return bisect(window_gap, 0.0, 0.25, tol=tol)
+    return bisect(window_gap, 0.0, 0.25, tol=1e-7)
 
 
 def optimal_fiducial(depth: int, eps_p: float) -> float:
-    """The fiducial rate maximizing (delta - f)/sqrt(f(1-f)), the sqrt(n)
-    coefficient of the normal-approximation logical error exponent."""
-    return _fiducial_in(depth, eps_p, fixed_points(depth, eps_p))
-
-
-def _fiducial_in(depth: int, eps_p: float,
-                 window: AmplificationWindow) -> float:
-    """optimal_fiducial, given the window fixed_points returns."""
-    if not window.exists:
-        raise ValueError(
-            f"eps_p={eps_p} is at or above the depth-{depth} pseudothreshold")
-
-    def coeff(d: float) -> float:
-        f = stage_error(depth, eps_p, d)
-        return (d - f) / math.sqrt(f * (1.0 - f))
-
-    return golden_max(coeff, window.delta_lo, window.delta_hi, tol=1e-8)[0]
+    """The delta of the optimal operating point (AmplificationWindow.point)."""
+    return fixed_points(depth, eps_p).point().delta
 
 
 def resolve_delta(depth: int, eps_p: float, delta) -> float:
-    """delta as a float; "optimal" (or None) selects optimal_fiducial."""
-    if delta is None or delta == "optimal":
+    """delta as a float, in or out of the amplification window; "optimal"
+    (or None) selects optimal_fiducial."""
+    if _is_optimal(delta):
         return optimal_fiducial(depth, eps_p)
     return float(delta)
 
@@ -147,58 +183,35 @@ def failure_threshold(n: int, delta: float | None) -> int:
     return max(math.ceil(delta * n), 1)
 
 
-def amplified_stage_error(depth: int, eps_p: float, delta: float) -> float:
-    """f(delta), after checking that delta lies in the amplification
-    window: f(delta) < delta, which holds exactly between the fixed
-    points."""
-    f = stage_error(depth, eps_p, delta)
-    if not f < delta:
-        raise ValueError(
-            f"delta={delta} is outside the amplification window; "
-            "the signal is not amplified")
-    return f
-
-
-def logical_error_formula(n: int, depth: int, eps_p: float,
-                          delta: float) -> tuple[float, float]:
+def logical_error_formula(n: int,
+                          point: OperatingPoint) -> tuple[float, float]:
     """Logical error of the formula gadget at code size n.
 
     Returns (exact, normal): the exact binomial tail
     Pr[Binomial(n, f) >= ceil(delta n)] and the paper-style normal
     approximation Pr[Z >= sqrt(n)(delta - f)/sqrt(f(1-f))].
     """
-    f = amplified_stage_error(depth, eps_p, delta)
+    f, delta = point.f, point.delta
     exact = binom_tail(n, f, failure_threshold(n, delta))
     z = math.sqrt(n) * (delta - f) / math.sqrt(f * (1.0 - f))
     normal = 0.5 * math.erfc(z / math.sqrt(2.0))
     return exact, normal
 
 
-def log10_logical_error(n: int, depth: int, eps_p: float, delta: float) -> float:
+def log10_logical_error(n: int, point: OperatingPoint) -> float:
     """log10 of the exact formula logical error; stays finite far below
     float underflow."""
-    return _log10_tail(n, stage_error(depth, eps_p, delta), delta)
-
-
-def _log10_tail(n: int, f: float, delta: float) -> float:
-    return log_binom_tail(n, f, failure_threshold(n, delta)) / math.log(10.0)
+    k = failure_threshold(n, point.delta)
+    return log_binom_tail(n, point.f, k) / math.log(10.0)
 
 
 @dataclass(frozen=True)
 class CodeSizeResult:
     """Odd code size reaching a target logical error (see
-    required_code_size), with the leading coefficient of its
-    ln(1/eps_l) asymptotic."""
+    required_code_size)."""
 
     n: int
-    coefficient: float
     eps_l_achieved: float
-
-
-def code_size_coefficient(depth: int, eps_p: float, delta: float) -> float:
-    """Leading coefficient of n ~ coeff * ln(1/eps_l): 2f(1-f)/(f-delta)^2."""
-    f = stage_error(depth, eps_p, delta)
-    return 2.0 * f * (1.0 - f) / (f - delta) ** 2
 
 
 def _run_end(n: int, delta: float, step: int) -> int:
@@ -219,8 +232,8 @@ def _run_end(n: int, delta: float, step: int) -> int:
     return m
 
 
-def required_code_size(eps_l_target: float, depth: int, eps_p: float,
-                       delta: float) -> CodeSizeResult:
+def required_code_size(eps_l_target: float,
+                       point: OperatingPoint) -> CodeSizeResult:
     """Odd code size n, found from the guess coeff * ln(1/eps_l), whose
     exact formula logical error tail(n) is at or below the target while
     tail(n - 2) is above it (or n = 1).
@@ -237,13 +250,10 @@ def required_code_size(eps_l_target: float, depth: int, eps_p: float,
     if not 0.0 < eps_l_target < 1.0:
         raise ValueError(f"target must be in (0, 1), got {eps_l_target}")
     log10_target = math.log10(eps_l_target)
-    f = amplified_stage_error(depth, eps_p, delta)
-    coeff = code_size_coefficient(depth, eps_p, delta)
-
-    n = max(1, int(coeff * math.log(1.0 / eps_l_target))) | 1
-    while n > 1 and _log10_tail(n - 2, f, delta) <= log10_target:
-        n = _run_end(n - 2, delta, -2)
-    while (log10_tail := _log10_tail(n, f, delta)) > log10_target:
-        n = _run_end(n, delta, 2) + 2
-    return CodeSizeResult(n, coeff, 10.0 ** log10_tail)
+    n = max(1, int(point.coefficient * math.log(1.0 / eps_l_target))) | 1
+    while n > 1 and log10_logical_error(n - 2, point) <= log10_target:
+        n = _run_end(n - 2, point.delta, -2)
+    while (log10_tail := log10_logical_error(n, point)) > log10_target:
+        n = _run_end(n, point.delta, 2) + 2
+    return CodeSizeResult(n, 10.0 ** log10_tail)
 

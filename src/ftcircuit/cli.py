@@ -65,14 +65,13 @@ def _tail_model(args: argparse.Namespace) -> resource.TailModel:
 def cmd_analyze(args) -> dict:
     threshold = analytic.pseudothreshold(args.depth)
     window = analytic.fixed_points(args.depth, args.eps_p)
-    delta_opt = analytic._fiducial_in(args.depth, args.eps_p, window)
+    point = window.point()
     return {
         "pseudothreshold": threshold,
         "delta_lo": window.delta_lo,
         "delta_hi": window.delta_hi,
-        "delta_opt": delta_opt,
-        "code_size_coefficient": analytic.code_size_coefficient(
-            args.depth, args.eps_p, delta_opt),
+        "delta_opt": point.delta,
+        "code_size_coefficient": point.coefficient,
     }
 
 
@@ -124,29 +123,29 @@ def cmd_simulate(args) -> dict:
 
 def cmd_overhead(args) -> dict:
     model = _tail_model(args)
-    delta = analytic.resolve_delta(args.depth, args.eps_p, args.delta)
-    report = resource.overhead_ratio(model, args.eps_l, args.eps_p, delta,
-                                     args.depth, args.chi)
+    point = analytic.fixed_points(args.depth, args.eps_p).point(args.delta)
+    report = resource.overhead_ratio(model, args.eps_l, point, args.chi)
     return {
         "eta_exact": report.eta,
         "eta_asymptotic": report.eta_asymptotic,
         "eta_number": report.eta_number,
         "n": report.n,
         "regime": report.regime,
-        "delta": delta,
+        "delta": point.delta,
         "asymptotic_preference": resource.classify_asymptotic(model),
     }
 
 
 def _parse_axis(spec: str) -> tuple[str, list[float]]:
-    """axis spec: name=lo:hi:steps[:log]."""
+    """axis spec: name=lo:hi:steps[:log], with steps >= 1."""
     name, _, rng = spec.partition("=")
     parts = rng.split(":")
-    if name not in resource.GRID_AXES or len(parts) not in (3, 4):
+    if (name not in resource.GRID_AXES or len(parts) not in (3, 4)
+            or parts[3:] not in ([], ["log"]) or int(parts[2]) < 1):
         raise ValueError(f"bad axis spec: {spec!r} "
-                         "(want name=lo:hi:steps[:log])")
+                         "(want name=lo:hi:steps[:log], steps >= 1)")
     lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
-    if len(parts) == 4 and parts[3] == "log":
+    if parts[3:]:
         import numpy as np
         values = list(np.geomspace(lo, hi, steps))
     else:

@@ -123,11 +123,11 @@ def golden_max(f: Callable[[float], float], lo: float, hi: float,
     return x, -v
 
 
-def wilson_interval(successes: int, trials: int,
-                    z: float = 1.959963984540054) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson-score 95% confidence interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    z = 1.959963984540054  # the two-sided 95% normal quantile
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom

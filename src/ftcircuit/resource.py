@@ -157,21 +157,21 @@ def _tail_factor(t: TailModel, eps_l: float) -> float:
     return w_p * x / (1.0 - x)
 
 
-def asymptotic_overhead(t: TailModel, eps_l: float, eps_p: float,
-                        delta: float, depth: int, chi: float) -> float:
+def asymptotic_overhead(t: TailModel, eps_l: float,
+                        point: analytic.OperatingPoint, chi: float) -> float:
     """The closed-form overhead: the tail-dependent resource ratio times
-    (D+1)/chi times the code-size coefficient 2f(1-f)/(f-delta)^2, with
-    the ln(1/eps_l) width factor; for the exponential tail that factor
-    cancels against W(eps_l) and eta is a constant, computed as such."""
-    coeff = analytic.code_size_coefficient(depth, eps_p, delta)
-    construction = (depth + 1) * coeff / chi
+    (D+1)/chi times the point's code-size coefficient 2f(1-f)/(f-delta)^2,
+    with the ln(1/eps_l) width factor; for the exponential tail that
+    factor cancels against W(eps_l) and eta is a constant, computed as
+    such."""
+    construction = (point.depth + 1) * point.coefficient / chi
     if t.kind == EXPONENTIAL:
         return _w_p(t) * construction
     return _tail_factor(t, eps_l) * construction * math.log(1.0 / eps_l)
 
 
-def overhead_ratio(t: TailModel, eps_l: float, eps_p: float, delta: float,
-                   depth: int, chi: float) -> OverheadReport:
+def overhead_ratio(t: TailModel, eps_l: float, point: analytic.OperatingPoint,
+                   chi: float) -> OverheadReport:
     """Exact and asymptotic resource overhead eta at one operating point.
 
     Exact uses the code size of analytic.required_code_size for the
@@ -180,9 +180,9 @@ def overhead_ratio(t: TailModel, eps_l: float, eps_p: float, delta: float,
     matching the constants-ratio convention W_P/(alpha A),
     W_P/(sqrt(2) sigma A), W_P/(A beta).
     """
-    _check_operating_point(eps_l, eps_p, chi)
-    size = analytic.required_code_size(eps_l, depth, eps_p, delta)
-    return _overhead_report(t, eps_l, eps_p, delta, depth, chi, size)
+    _check_operating_point(eps_l, point.eps_p, chi)
+    size = analytic.required_code_size(eps_l, point)
+    return _overhead_report(t, eps_l, point, chi, size)
 
 
 def _check_operating_point(eps_l: float, eps_p: float, chi: float):
@@ -193,20 +193,21 @@ def _check_operating_point(eps_l: float, eps_p: float, chi: float):
             f"need 0 < eps_l < eps_p, got eps_l={eps_l}, eps_p={eps_p}")
 
 
-def _overhead_report(t: TailModel, eps_l: float, eps_p: float, delta: float,
-                     depth: int, chi: float,
+def _overhead_report(t: TailModel, eps_l: float,
+                     point: analytic.OperatingPoint, chi: float,
                      size: analytic.CodeSizeResult) -> OverheadReport:
     """overhead_ratio at a checked operating point whose code size is
     already known."""
     w_p = _w_p(t)
     w_l = resource_tradeoff(t, eps_l) / t.scale
-    eta_number = (depth + 1) * size.n / chi
+    eta_number = (point.depth + 1) * size.n / chi
     eta_exact = (w_p / w_l) * eta_number
-    eta_asym = asymptotic_overhead(t, eps_l, eps_p, delta, depth, chi)
+    eta_asym = asymptotic_overhead(t, eps_l, point, chi)
     regime = REGIME_FT if eta_exact < 1.0 else REGIME_NON_FT
     inputs = {
-        "tail": t.kind, "eps_l": eps_l, "eps_p": eps_p, "delta": delta,
-        "D": depth, "chi": chi, "w_p": w_p, "gamma": t.gamma,
+        "tail": t.kind, "eps_l": eps_l, "eps_p": point.eps_p,
+        "delta": point.delta, "D": point.depth, "chi": chi, "w_p": w_p,
+        "gamma": t.gamma,
     }
     return OverheadReport(eta_exact, eta_asym, eta_number, size.n,
                           regime, inputs)
@@ -234,9 +235,9 @@ def phase_grid(t: TailModel, axis1: str, values1, axis2: str, values2,
     """Evaluate eta over a grid of two of {eps_p, eps_l, w_p, gamma}.
 
     fixed supplies the remaining parameters (eps_p, eps_l, delta, depth,
-    chi, w_p as applicable); delta may be "optimal".  Cells where eps_p
-    is at or above the pseudothreshold, or eps_l >= eps_p, are marked
-    invalid with eta = nan.
+    chi, w_p as applicable); delta may be "optimal".  Cells where the
+    amplification window of eps_p does not exist, or eps_l >= eps_p, are
+    marked invalid with eta = nan.
     """
     for axis in (axis1, axis2):
         if axis not in GRID_AXES:
@@ -245,47 +246,44 @@ def phase_grid(t: TailModel, axis1: str, values1, axis2: str, values2,
         raise ValueError("grid axes must differ")
     depth = int(fixed.get("depth", 2))
     chi = float(fixed.get("chi", 1.0))
-    threshold = analytic.pseudothreshold(depth)
-    delta_spec = fixed.get("delta", "optimal")
+    delta = fixed.get("delta", "optimal")
 
-    # delta and depth are fixed per eps_p within one call, so the code
-    # size depends only on (eps_l, eps_p): cells that differ only in w_p
-    # or gamma share one search
-    delta_cache: dict[float, float] = {}
+    # one window per eps_p, and one operating point per eps_p with a valid
+    # cell; the code size depends only on (eps_l, eps_p), so cells that
+    # differ only in w_p or gamma share one search
+    windows: dict[float, analytic.AmplificationWindow] = {}
+    points: dict[float, analytic.OperatingPoint] = {}
     sizes: dict[tuple[float, float], analytic.CodeSizeResult] = {}
-
-    def delta_for(eps_p: float) -> float:
-        if eps_p not in delta_cache:
-            delta_cache[eps_p] = analytic.resolve_delta(depth, eps_p,
-                                                        delta_spec)
-        return delta_cache[eps_p]
 
     exact_rows, asym_rows, regime_rows = [], [], []
     for v1 in values1:
         exact_row, asym_row, regime_row = [], [], []
         for v2 in values2:
-            point = dict(fixed)
-            point[axis1] = v1
-            point[axis2] = v2
-            eps_p = float(point.get("eps_p", 0.005))
-            eps_l = float(point["eps_l"])
+            cell = dict(fixed)
+            cell[axis1] = v1
+            cell[axis2] = v2
+            eps_p = float(cell.get("eps_p", 0.005))
+            eps_l = float(cell["eps_l"])
             model = t
-            if "w_p" in point:
-                model = replace(model, w_p=float(point["w_p"]))
-            if "gamma" in point and model.kind == PARETO:
-                model = replace(model, gamma=float(point["gamma"]))
-            if eps_p >= threshold or eps_l >= eps_p:
+            if "w_p" in cell:
+                model = replace(model, w_p=float(cell["w_p"]))
+            if "gamma" in cell and model.kind == PARETO:
+                model = replace(model, gamma=float(cell["gamma"]))
+            if eps_p not in windows:
+                windows[eps_p] = analytic.fixed_points(depth, eps_p)
+            if not windows[eps_p].exists or eps_l >= eps_p:
                 exact_row.append(math.nan)
                 asym_row.append(math.nan)
                 regime_row.append(REGIME_INVALID)
                 continue
             _check_operating_point(eps_l, eps_p, chi)
-            delta = delta_for(eps_p)
+            if eps_p not in points:
+                points[eps_p] = windows[eps_p].point(delta)
             if (eps_l, eps_p) not in sizes:
                 sizes[eps_l, eps_p] = analytic.required_code_size(
-                    eps_l, depth, eps_p, delta)
-            report = _overhead_report(model, eps_l, eps_p, delta, depth,
-                                      chi, sizes[eps_l, eps_p])
+                    eps_l, points[eps_p])
+            report = _overhead_report(model, eps_l, points[eps_p], chi,
+                                      sizes[eps_l, eps_p])
             exact_row.append(report.eta)
             asym_row.append(report.eta_asymptotic)
             regime_row.append(report.regime)

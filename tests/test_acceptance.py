@@ -62,10 +62,8 @@ def test_criterion_3_optimal_fiducials():
 
 def test_criterion_4_code_size_coefficients():
     start = time.perf_counter()
-    d2 = analytic.optimal_fiducial(2, 0.005)
-    d4 = analytic.optimal_fiducial(4, 0.005)
-    c2 = analytic.code_size_coefficient(2, 0.005, d2)
-    c4 = analytic.code_size_coefficient(4, 0.005, d4)
+    c2 = analytic.fixed_points(2, 0.005).point().coefficient
+    c4 = analytic.fixed_points(4, 0.005).point().coefficient
     log10_slope = c2 * math.log(10.0)
     elapsed = time.perf_counter() - start
     ok = (abs(c2 - 279) <= 3 and abs(c4 - 11.4) <= 0.3
@@ -147,10 +145,9 @@ def test_criterion_7_stage_error_identity():
 
 def test_criterion_8_exponential_regime():
     start = time.perf_counter()
-    d2 = analytic.optimal_fiducial(2, 0.005)
+    point = analytic.fixed_points(2, 0.005).point()
     model = resource.TailModel(resource.EXPONENTIAL, w_p=1.0)
-    etas = {resource.asymptotic_overhead(model, 10.0 ** -k, 0.005, d2, 2,
-                                         0.47)
+    etas = {resource.asymptotic_overhead(model, 10.0 ** -k, point, 0.47)
             for k in range(5, 31)}
     elapsed = time.perf_counter() - start
     ok = len(etas) == 1 and elapsed < 1.0
@@ -161,14 +158,13 @@ def test_criterion_8_exponential_regime():
 
 def test_criterion_8_gaussian_regime():
     start = time.perf_counter()
-    d2 = analytic.optimal_fiducial(2, 0.005)
+    point = analytic.fixed_points(2, 0.005).point()
     model = resource.TailModel(resource.GAUSSIAN, w_p=2e-4)
-    deep = [resource.asymptotic_overhead(model, 10.0 ** -k, 0.005, d2, 2,
-                                         0.47)
+    deep = [resource.asymptotic_overhead(model, 10.0 ** -k, point, 0.47)
             for k in range(30, 61, 5)]
     increasing = all(b > a for a, b in zip(deep, deep[1:]))
     above_one = all(v > 1.0 for v in deep)
-    moderate = resource.asymptotic_overhead(model, 1e-2, 0.005, d2, 2, 0.47)
+    moderate = resource.asymptotic_overhead(model, 1e-2, point, 0.47)
     elapsed = time.perf_counter() - start
     ok = increasing and above_one and moderate < 1.0 and elapsed < 1.0
     report(8, "gaussian regime", ok,
@@ -182,11 +178,11 @@ def test_criterion_8_pareto_regime():
     # the bound eta < 1 holds at the deep keys and fails at the shallow ones
     start = time.perf_counter()
     eps_p, depth, chi = 0.005, 2, 0.47
-    d2 = analytic.optimal_fiducial(depth, eps_p)
+    point = analytic.fixed_points(depth, eps_p).point()
+    d2 = point.delta
     model = resource.TailModel(resource.PARETO, gamma=2.0, w_p=3e2)
     keys = (6, 10, 16, 20)
-    etas = {k: resource.asymptotic_overhead(model, 10.0 ** -k, eps_p, d2,
-                                            depth, chi)
+    etas = {k: resource.asymptotic_overhead(model, 10.0 ** -k, point, chi)
             for k in keys}
     elapsed = time.perf_counter() - start
 
@@ -202,8 +198,8 @@ def test_criterion_8_pareto_regime():
 
     hand_diff = max(abs(etas[k] - hand(10.0 ** -k)) / hand(10.0 ** -k)
                     for k in keys)
-    exact_regimes = {k: resource.overhead_ratio(model, 10.0 ** -k, eps_p, d2,
-                                                depth, chi).regime
+    exact_regimes = {k: resource.overhead_ratio(model, 10.0 ** -k, point,
+                                                chi).regime
                      for k in keys}
     regimes_agree = all(
         exact_regimes[k] == (resource.REGIME_FT if etas[k] < 1.0

@@ -180,16 +180,14 @@ def test_optimal_fiducial_agrees_with_coefficient_minimum():
     for depth in (2, 4):
         w = fixed_points(depth, 0.005)
         d_coeff, _ = golden_min(
-            lambda d: analytic.code_size_coefficient(depth, 0.005, d),
+            lambda d: w.point(d).coefficient,
             w.delta_lo + 1e-6, w.delta_hi - 1e-6, tol=1e-8)
         assert abs(d_coeff - optimal_fiducial(depth, 0.005)) < 1e-5
 
 
 def test_code_size_coefficients():
-    d2 = optimal_fiducial(2, 0.005)
-    d4 = optimal_fiducial(4, 0.005)
-    c2 = analytic.code_size_coefficient(2, 0.005, d2)
-    c4 = analytic.code_size_coefficient(4, 0.005, d4)
+    c2 = fixed_points(2, 0.005).point().coefficient
+    c4 = fixed_points(4, 0.005).point().coefficient
     assert abs(c2 - 279) < 3
     assert abs(c4 - 11.4) < 0.3
     assert abs(c2 * math.log(10) - 642) < 7
@@ -197,13 +195,30 @@ def test_code_size_coefficients():
 
 def test_logical_error_n1():
     d = 0.058
-    exact, _ = logical_error_formula(1, 2, 0.005, d)
+    exact, _ = logical_error_formula(1, fixed_points(2, 0.005).point(d))
     assert abs(exact - stage_error(2, 0.005, d)) < 1e-15
 
 
 def test_logical_error_outside_window():
     with pytest.raises(ValueError, match="amplification"):
-        logical_error_formula(5, 2, 0.005, 0.3)
+        fixed_points(2, 0.005).point(0.3)
+
+
+def test_operating_point_fields():
+    # the point carries its window's (depth, eps_p), f(delta) and the
+    # code-size coefficient 2f(1-f)/(f-delta)^2, for a given or optimal delta
+    for depth, eps_p in ((2, 0.005), (4, 0.002), (6, 0.008)):
+        window = fixed_points(depth, eps_p)
+        assert (window.depth, window.eps_p) == (depth, eps_p)
+        for delta in ("optimal", None,
+                      0.5 * (window.delta_lo + window.delta_hi)):
+            point = window.point(delta)
+            f = stage_error(depth, eps_p, point.delta)
+            assert (point.depth, point.eps_p, point.f) == (depth, eps_p, f)
+            coefficient = 2.0 * f * (1.0 - f) / (f - point.delta) ** 2
+            assert point.coefficient == coefficient
+        assert window.point().delta == optimal_fiducial(depth, eps_p)
+        assert window.point("0.05").delta == 0.05
 
 
 def test_logical_error_decays_with_n():
@@ -211,8 +226,8 @@ def test_logical_error_decays_with_n():
     # the exact tail is a sawtooth in n; it decays over whole periods
     # even though adjacent odd n may tick upward
     checkpoints = [401, 801, 2001, 4001]
-    values = [logical_error_formula(n, 2, 0.005, 0.058)[0]
-              for n in checkpoints]
+    point = fixed_points(2, 0.005).point(0.058)
+    values = [logical_error_formula(n, point)[0] for n in checkpoints]
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
@@ -220,33 +235,33 @@ def test_logical_error_slope_near_asymptotic_rate():
     # the fitted log10 slope over n in [201, 801] sits near the
     # asymptotic rates (normal-approximation 1/642, large-deviation
     # 1/720); as n grows it converges to the large-deviation rate
-    d2 = optimal_fiducial(2, 0.005)
+    point = fixed_points(2, 0.005).point()
     ns = list(range(201, 802, 100))
-    ys = [analytic.log10_logical_error(n, 2, 0.005, d2) for n in ns]
+    ys = [analytic.log10_logical_error(n, point) for n in ns]
     slope, _, r2 = ols_fit(ns, ys)
     assert r2 > 0.97
     assert 500 < -1.0 / slope < 800
     big = list(range(5001, 20002, 2500))
-    ys_big = [analytic.log10_logical_error(n, 2, 0.005, d2) for n in big]
+    ys_big = [analytic.log10_logical_error(n, point) for n in big]
     slope_big, _, _ = ols_fit(big, ys_big)
     assert abs(-1.0 / slope_big - 720) < 25
 
 
 def test_normal_approximation_close_for_large_n():
-    d2 = optimal_fiducial(2, 0.005)
+    point = fixed_points(2, 0.005).point()
     for n in (201, 401, 801):
-        exact, normal = logical_error_formula(n, 2, 0.005, d2)
+        exact, normal = logical_error_formula(n, point)
         assert 0.2 < normal / exact < 5.0
 
 
 def test_required_code_size_minimal():
-    d2 = optimal_fiducial(2, 0.005)
-    res = required_code_size(1e-10, 2, 0.005, d2)
+    point = fixed_points(2, 0.005).point()
+    res = required_code_size(1e-10, point)
     assert res.n % 2 == 1
     assert res.eps_l_achieved <= 1e-10
-    worse, _ = logical_error_formula(res.n - 2, 2, 0.005, d2)
+    worse, _ = logical_error_formula(res.n - 2, point)
     assert worse > 1e-10
-    assert abs(res.coefficient - 279) < 3
+    assert abs(point.coefficient - 279) < 3
 
 
 def step_walk_code_size(eps_l: float, depth: int, eps_p: float,
@@ -285,32 +300,33 @@ STEP_WALK_POINTS = [
 
 @pytest.mark.parametrize("depth,eps_p,where,eps_l", STEP_WALK_POINTS)
 def test_required_code_size_matches_step_walk(depth, eps_p, where, eps_l):
-    delta = optimal_fiducial(depth, eps_p)
+    window = fixed_points(depth, eps_p)
+    delta = window.point().delta
     if where != "opt":
-        window = fixed_points(depth, eps_p)
         edge = window.delta_hi if where == "hi" else window.delta_lo
         delta = 0.5 * (delta + edge)
     n, achieved = step_walk_code_size(eps_l, depth, eps_p, delta)
-    res = required_code_size(eps_l, depth, eps_p, delta)
+    res = required_code_size(eps_l, window.point(delta))
     assert res.n == n
     assert res.eps_l_achieved == pytest.approx(achieved, rel=1e-13, abs=0.0)
 
 
 def test_required_code_size_long_threshold_runs():
     # delta = 1e-8 keeps k = ceil(delta n) fixed over 5e7 odd n at a time
-    res = required_code_size(1e-3, 2, 1e-9, 1e-8)
+    point = fixed_points(2, 1e-9).point(1e-8)
+    res = required_code_size(1e-3, point)
     assert res.n % 2 == 1
     assert res.eps_l_achieved <= 1e-3
-    assert analytic.log10_logical_error(res.n - 2, 2, 1e-9, 1e-8) > -3.0
+    assert analytic.log10_logical_error(res.n - 2, point) > -3.0
 
 
 def test_number_overhead():
-    d2 = optimal_fiducial(2, 0.005)
-    n = required_code_size(1e-10, 2, 0.005, d2).n
+    point = fixed_points(2, 0.005).point()
+    n = required_code_size(1e-10, point).n
     model = TailModel(EXPONENTIAL)
 
     def number_overhead(chi):
-        return overhead_ratio(model, 1e-10, 0.005, d2, 2, chi).eta_number
+        return overhead_ratio(model, 1e-10, point, chi).eta_number
 
     assert number_overhead(1.0) == 3 * n
     assert number_overhead(0.47) == pytest.approx(3 * n / 0.47)
@@ -319,13 +335,11 @@ def test_number_overhead():
 
 
 def test_amplification_window_is_f_below_delta():
-    # both entry points reject a delta outside the window and an eps_p
-    # above the depth-2 pseudothreshold (about 0.01077)
+    # the operating point rejects a delta outside the window and one at
+    # an eps_p above the depth-2 pseudothreshold (about 0.01077)
     for depth, eps_p, delta in ((2, 0.005, 0.3), (2, 0.012, 0.058)):
         with pytest.raises(ValueError, match="amplification"):
-            logical_error_formula(5, depth, eps_p, delta)
-        with pytest.raises(ValueError, match="amplification"):
-            required_code_size(1e-6, depth, eps_p, delta)
+            fixed_points(depth, eps_p).point(delta)
 
     # f(delta) < delta holds exactly between the fixed points
     compared = 0
@@ -342,7 +356,7 @@ def test_amplification_window_is_f_below_delta():
                 inside = (window.exists
                           and window.delta_lo < delta < window.delta_hi)
                 try:
-                    f = analytic.amplified_stage_error(depth, eps_p, delta)
+                    f = window.point(delta).f
                 except ValueError:
                     assert not inside, (depth, eps_p, delta)
                 else:
@@ -360,10 +374,11 @@ def test_required_code_size_skips_fixed_points(monkeypatch):
         calls.append(args)
         return solve(*args, **kwargs)
 
-    d2 = optimal_fiducial(2, 0.005)
+    window = fixed_points(2, 0.005)
+    point = window.point()
     monkeypatch.setattr(analytic, "fixed_points", counted)
     for eps_l in (1e-6, 1e-12, 1e-20):
-        required_code_size(eps_l, 2, 0.005, d2)
+        required_code_size(eps_l, point)
     with pytest.raises(ValueError):
-        required_code_size(1e-6, 2, 0.005, 0.3)
+        window.point(0.3)
     assert calls == []

@@ -23,8 +23,8 @@ def test_fit_requires_enough_points():
 
 def test_fit_analytic_formula_points():
     from ftcircuit import analytic
-    d2 = analytic.optimal_fiducial(2, 0.005)
-    points = [(n, 10.0 ** analytic.log10_logical_error(n, 2, 0.005, d2))
+    point = analytic.fixed_points(2, 0.005).point()
+    points = [(n, 10.0 ** analytic.log10_logical_error(n, point))
               for n in range(201, 802, 100)]
     fit = fit_effective_slope(points)
     # finite-n slope of the exact binomial; the asymptotic rate is 1/642

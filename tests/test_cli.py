@@ -148,6 +148,21 @@ def test_phase_rejects_bad_axis(capsys):
     assert "bad axis spec" in err
 
 
+@pytest.mark.parametrize("axis1,axis2", [
+    ("eps_p=0.005:0.007:3", "eps_l=1e-20:1e-15:3:lg"),
+    ("eps_p=0.005:0.007:3", "eps_l=1e-20:1e-15:3:"),
+    ("eps_p=0.005:0.007:0", "eps_l=1e-20:1e-15:2:log"),
+    ("eps_p=0.005:0.007:-1", "eps_l=1e-20:1e-15:2:log"),
+])
+def test_phase_rejects_unknown_scale_and_empty_axis(capsys, axis1, axis2):
+    code, out, err = run_cli(
+        capsys, "phase", "--tail", "pareto", "--wp-ratio", "3e2",
+        "--axis1", axis1, "--axis2", axis2)
+    assert code == 1
+    assert out == ""
+    assert "bad axis spec" in err
+
+
 def test_config_file_overrides(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"depth": 4}))
@@ -196,6 +211,18 @@ def test_domain_error_exit_code(capsys):
                            "--eps-p", "0.005")
     assert code == 1
     assert "error" in err
+
+
+def test_readme_python_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == 4
+    assert float(printed[0]) == pytest.approx(0.0580, abs=1e-4)
+    assert float(printed[1]) == pytest.approx(278.8, abs=0.1)
+    assert printed[2] == "7705"
+    assert 0.0 < float(printed[3]) < 1.0
 
 
 def test_readme_examples_run(capsys, tmp_path, monkeypatch):

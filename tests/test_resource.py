@@ -90,6 +90,7 @@ def test_resource_tradeoff_inverts_error_from_signal():
 
 def test_resource_tradeoff_unreachable_eps():
     # the prefactor caps the error rate at zero signal: C, C/2, C/2
+    point = analytic.fixed_points(2, 0.005).point(0.058)
     with pytest.raises(ValueError, match="cannot reach"):
         resource_tradeoff(TailModel(EXPONENTIAL, C=0.25), 0.3)
     for kind in (GAUSSIAN, PARETO):
@@ -98,21 +99,21 @@ def test_resource_tradeoff_unreachable_eps():
         with pytest.raises(ValueError, match="cannot reach"):
             resource_tradeoff(model, 0.3)
         with pytest.raises(ValueError, match="cannot reach"):
-            asymptotic_overhead(TailModel(kind, C=0.5, w_p=1.0), 0.3, 0.005,
-                                0.058, 2, 0.47)
+            asymptotic_overhead(TailModel(kind, C=0.5, w_p=1.0), 0.3,
+                                point, 0.47)
 
 
 def test_pareto_overhead_carries_prefactor():
     # asymptotic and exact eta share W(eps_l) = A beta ((2 eps_l/C)^(-1/gamma) - 1)
-    d2 = analytic.optimal_fiducial(2, 0.005)
+    point = analytic.fixed_points(2, 0.005).point()
     for C in (0.5, 2.0):
         model = TailModel(PARETO, gamma=2.0, w_p=3e2, C=C)
         w_l = (2.0 * 1e-20 / C) ** -0.5 - 1.0
-        eta = asymptotic_overhead(model, 1e-20, 0.005, d2, 2, 0.47)
+        eta = asymptotic_overhead(model, 1e-20, point, 0.47)
         assert eta == pytest.approx(
-            3e2 / w_l * 3 / 0.47 * analytic.code_size_coefficient(2, 0.005, d2)
-            * math.log(1e20), rel=1e-12)
-        report = overhead_ratio(model, 1e-20, 0.005, d2, 2, 0.47)
+            3e2 / w_l * 3 / 0.47 * point.coefficient * math.log(1e20),
+            rel=1e-12)
+        report = overhead_ratio(model, 1e-20, point, 0.47)
         assert report.eta == pytest.approx(3e2 / w_l * report.eta_number,
                                            rel=1e-12)
 
@@ -133,18 +134,18 @@ def test_classify_asymptotic():
 
 
 def test_exponential_overhead_constant_in_eps_l():
-    d2 = analytic.optimal_fiducial(2, 0.005)
+    point = analytic.fixed_points(2, 0.005).point()
     model = TailModel(EXPONENTIAL, w_p=1.0)
-    etas = {asymptotic_overhead(model, 10.0 ** -k, 0.005, d2, 2, 0.47)
+    etas = {asymptotic_overhead(model, 10.0 ** -k, point, 0.47)
             for k in range(5, 31)}
     assert len(etas) == 1
     assert etas.pop() == pytest.approx(3 * 279 / 0.47, rel=0.02)
 
 
 def test_gaussian_overhead_grows_unbounded():
-    d2 = analytic.optimal_fiducial(2, 0.005)
+    point = analytic.fixed_points(2, 0.005).point()
     model = TailModel(GAUSSIAN, w_p=2e-4)
-    etas = [asymptotic_overhead(model, 10.0 ** (-2 * k), 0.005, d2, 2, 0.47)
+    etas = [asymptotic_overhead(model, 10.0 ** (-2 * k), point, 0.47)
             for k in range(5, 16)]
     assert all(b > a for a, b in zip(etas, etas[1:]))
     assert etas[-1] > 1.0
@@ -152,30 +153,30 @@ def test_gaussian_overhead_grows_unbounded():
 
 
 def test_pareto_overhead_vanishes():
-    d2 = analytic.optimal_fiducial(2, 0.005)
+    point = analytic.fixed_points(2, 0.005).point()
     model = TailModel(PARETO, gamma=2.0, w_p=3e2)
-    etas = [asymptotic_overhead(model, 10.0 ** (-2 * k), 0.005, d2, 2, 0.47)
+    etas = [asymptotic_overhead(model, 10.0 ** (-2 * k), point, 0.47)
             for k in range(5, 16)]
     assert all(b < a for a, b in zip(etas, etas[1:]))
     assert etas[-1] < 1.0
 
 
 def test_exact_and_asymptotic_agree_deep():
-    d2 = analytic.optimal_fiducial(2, 0.005)
+    point = analytic.fixed_points(2, 0.005).point()
     for model in (TailModel(EXPONENTIAL, w_p=1.0),
                   TailModel(GAUSSIAN, w_p=2e-4),
                   TailModel(PARETO, gamma=2.0, w_p=3e2)):
-        report = overhead_ratio(model, 1e-20, 0.005, d2, 2, 0.47)
+        report = overhead_ratio(model, 1e-20, point, 0.47)
         assert report.eta == pytest.approx(report.eta_asymptotic, rel=0.2)
 
 
 def test_overhead_ratio_validation():
     model = TailModel(EXPONENTIAL, w_p=1.0)
-    d2 = analytic.optimal_fiducial(2, 0.005)
+    point = analytic.fixed_points(2, 0.005).point()
     with pytest.raises(ValueError):
-        overhead_ratio(model, 1e-10, 0.005, d2, 2, 0.0)
+        overhead_ratio(model, 1e-10, point, 0.0)
     with pytest.raises(ValueError):
-        overhead_ratio(model, 0.01, 0.005, d2, 2, 0.47)
+        overhead_ratio(model, 0.01, point, 0.47)
 
 
 def test_modern_cmos_preset():
@@ -210,14 +211,58 @@ def test_phase_grid_one_search_per_code_size_input(monkeypatch):
                       {"eps_p": 0.005, "chi": 0.47})
     # n depends on (eps_l, eps_p) alone; gamma only rescales eta
     assert len(searches) == len(eps_ls)
-    d2 = analytic.optimal_fiducial(2, 0.005)
+    point = analytic.fixed_points(2, 0.005).point()
     for i, gamma in enumerate(gammas):
         for j, eps_l in enumerate(eps_ls):
             report = overhead_ratio(replace(model, gamma=gamma), eps_l,
-                                    0.005, d2, 2, 0.47)
+                                    point, 0.47)
             assert grid.eta_exact[i][j] == report.eta
             assert grid.eta_asymptotic[i][j] == report.eta_asymptotic
             assert grid.regime[i][j] == report.regime
+
+
+def test_phase_grid_one_window_per_eps_p(monkeypatch):
+    windows, thresholds = [], []
+    solve = analytic.fixed_points
+
+    def counted(*args):
+        windows.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(analytic, "fixed_points", counted)
+    monkeypatch.setattr(analytic, "pseudothreshold",
+                        lambda *args: thresholds.append(args))
+    model = TailModel(GAUSSIAN, w_p=2e-4)
+    # 0.012 lies above the depth-2 pseudothreshold, and eps_l = 5e-3 is
+    # at or above eps_p = 0.004 but below 0.006
+    grid = phase_grid(model, "eps_l", [1e-12, 1e-6, 5e-3], "eps_p",
+                      [0.004, 0.006, 0.012], {"chi": 0.47})
+    assert thresholds == []
+    assert sorted(windows) == [(2, 0.004), (2, 0.006), (2, 0.012)]
+    assert [row[2] for row in grid.regime] == [REGIME_INVALID] * 3
+    assert grid.regime[2][0] == REGIME_INVALID
+    assert REGIME_INVALID not in grid.regime[0][:2] + grid.regime[2][1:2]
+
+
+def test_phase_grid_eps_p_domain():
+    # an eps_p outside [0, 1/2) has no window to mark invalid
+    model = TailModel(EXPONENTIAL, w_p=1.0)
+    for eps_p in (-0.001, 0.5, 0.7):
+        with pytest.raises(ValueError, match=r"eps_p must be in \[0, 1/2\)"):
+            phase_grid(model, "eps_p", [0.005, eps_p], "eps_l", [1e-10],
+                       {"chi": 0.47})
+
+
+def test_phase_grid_fixed_delta_matches_overhead_ratio():
+    model = TailModel(EXPONENTIAL, w_p=1.0)
+    grid = phase_grid(model, "eps_p", [0.003, 0.005], "eps_l",
+                      [1e-12, 1e-6], {"chi": 0.47, "delta": 0.058})
+    for i, eps_p in enumerate(grid.values1):
+        point = analytic.fixed_points(2, eps_p).point(0.058)
+        for j, eps_l in enumerate(grid.values2):
+            report = overhead_ratio(model, eps_l, point, 0.47)
+            assert grid.eta_exact[i][j] == report.eta
+            assert grid.eta_asymptotic[i][j] == report.eta_asymptotic
 
 
 def test_phase_grid_gaussian_all_non_ft_when_wp_large():
