@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numerics import bisect, binom_tail, golden_max, golden_min, log_binom_tail
+from .numerics import bisect, binom_tail, golden_min, log_binom_tail
 
 
 def check_depth(depth: int):
@@ -108,8 +108,9 @@ class AmplificationWindow:
         """The operating point at delta; "optimal" (or None) selects the
         delta in the window maximizing (delta - f)/sqrt(f(1-f)), the
         sqrt(n) coefficient of the normal-approximation logical error
-        exponent.  Raises ValueError when that window does not exist or
-        f(delta) >= delta, which holds exactly outside the fixed points."""
+        exponent, by minimizing its negative.  Raises ValueError when that
+        window does not exist or f(delta) >= delta, which holds exactly
+        outside the fixed points."""
         depth, eps_p = self.depth, self.eps_p
         if _is_optimal(delta):
             if not self.exists:
@@ -118,9 +119,9 @@ class AmplificationWindow:
 
             def score(d: float) -> float:
                 f = stage_error(depth, eps_p, d)
-                return (d - f) / math.sqrt(f * (1.0 - f))
+                return (f - d) / math.sqrt(f * (1.0 - f))
 
-            delta = golden_max(score, self.delta_lo, self.delta_hi,
+            delta = golden_min(score, self.delta_lo, self.delta_hi,
                                tol=1e-8)[0]
         else:
             delta = float(delta)
@@ -133,32 +134,37 @@ class AmplificationWindow:
                               2.0 * f * (1.0 - f) / (f - delta) ** 2)
 
 
+def _min_gap(depth: int, eps_p: float) -> tuple[float, float]:
+    """(argmin, min) of f(delta) - delta on (0, 1/2), by golden section
+    to 1e-12: the one search that decides whether a window exists."""
+    gap = lambda d: stage_error(depth, eps_p, d) - d
+    return golden_min(gap, 0.0, 0.5 - 1e-12, tol=1e-12)
+
+
 def fixed_points(depth: int, eps_p: float) -> AmplificationWindow:
     """Locate the fixed points of f(delta) = delta by bisection, to 1e-10.
 
     Returns exists=False when f lies above the identity on all of
-    (0, 1/2), i.e. eps_p is at or above the pseudothreshold.
+    (0, 1/2), i.e. eps_p is above the pseudothreshold.
     """
     check_depth(depth)
     check_rate("eps_p", eps_p)
-    gap = lambda d: stage_error(depth, eps_p, d) - d
-    d_min, g_min = golden_min(gap, 0.0, 0.5 - 1e-12, tol=1e-12)
+    d_min, g_min = _min_gap(depth, eps_p)
     if g_min > 0.0:
         return AmplificationWindow(depth, eps_p, False)
-    lo = bisect(gap, 0.0, d_min, tol=1e-10)
-    hi = bisect(gap, d_min, 0.5 - 1e-12, tol=1e-10)
+    gap = lambda d: stage_error(depth, eps_p, d) - d
+    # each fixed point is the midpoint of its bisection bracket
+    lo = 0.5 * sum(bisect(gap, 0.0, d_min, tol=1e-10))
+    hi = 0.5 * sum(bisect(gap, d_min, 0.5 - 1e-12, tol=1e-10))
     return AmplificationWindow(depth, eps_p, True, lo, hi)
 
 
 def pseudothreshold(depth: int) -> float:
-    """Largest eps_p for which the amplification window exists, to 1e-7."""
+    """Largest eps_p, to 1e-7, at which fixed_points finds a window: the
+    window end of the bisection bracket of the minimum gap over eps_p."""
     check_depth(depth)
-
-    def window_gap(eps_p: float) -> float:
-        gap = lambda d: stage_error(depth, eps_p, d) - d
-        return golden_min(gap, 0.0, 0.5 - 1e-12, tol=1e-10)[1]
-
-    return bisect(window_gap, 0.0, 0.25, tol=1e-7)
+    return bisect(lambda eps_p: _min_gap(depth, eps_p)[1], 0.0, 0.25,
+                  tol=1e-7)[0]
 
 
 def optimal_fiducial(depth: int, eps_p: float) -> float:

@@ -33,7 +33,6 @@ class SlopeFit:
     """OLS fit of log10(eps_l) against code size n."""
 
     slope: float
-    intercept: float
     r_squared: float
     points: tuple[tuple[int, float, float, float], ...]  # (n, eps_l, lo, hi)
 
@@ -71,8 +70,8 @@ def fit_effective_slope(points) -> SlopeFit:
         raise ValueError(f"need >= 4 points, got {len(rows)}")
     ns = [r[0] for r in rows]
     ys = [math.log10(r[1]) for r in rows]
-    slope, intercept, r2 = ols_fit(ns, ys)
-    return SlopeFit(slope, intercept, r2, tuple(rows))
+    slope, _, r2 = ols_fit(ns, ys)
+    return SlopeFit(slope, r2, tuple(rows))
 
 
 def estimate_chi(depth: int, eps_p: float, delta="optimal",

@@ -220,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["auto", "exact", "monte_carlo"])
     p.add_argument("--formula", action="store_true",
                    help="measure the fan-out-1 tree variant (chi = 1)")
-    p.add_argument("--wiring", default=transform.WIRING_OFFSET_DOUBLING)
+    p.add_argument("--wiring", default=transform.WIRING_OFFSET_DOUBLING,
+                   choices=transform.WIRINGS)
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", help="also write the per-n points as CSV here")
@@ -231,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--netlist", help="transform this base netlist instead "
                    "of emitting a single gadget")
-    p.add_argument("--wiring", default=transform.WIRING_OFFSET_DOUBLING)
+    p.add_argument("--wiring", default=transform.WIRING_OFFSET_DOUBLING,
+                   choices=transform.WIRINGS)
     _add_common(p, cmd_build)
 
     p = sub.add_parser("simulate", help="logical error of one gadget stage")
@@ -245,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["auto", "exact", "monte_carlo"])
     p.add_argument("--formula", action="store_true")
     p.add_argument("--block", default="gadget", choices=["gadget", "ec"])
-    p.add_argument("--wiring", default=transform.WIRING_OFFSET_DOUBLING)
+    p.add_argument("--wiring", default=transform.WIRING_OFFSET_DOUBLING,
+                   choices=transform.WIRINGS)
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p, _json_command(cmd_simulate))
@@ -268,7 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tail", required=True,
                    choices=[resource.EXPONENTIAL, resource.GAUSSIAN,
                             resource.PARETO])
-    p.add_argument("--wp-ratio", type=float)
+    p.add_argument("--wp-ratio", type=float, default=1.0,
+                   help="W_P in units of the tail's scale constant")
     p.add_argument("--gamma", type=float, default=2.0)
     p.add_argument("--axis1", required=True, help="name=lo:hi:steps[:log]")
     p.add_argument("--axis2", required=True, help="name=lo:hi:steps[:log]")

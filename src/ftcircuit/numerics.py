@@ -65,25 +65,29 @@ def binom_tail(n: int, p: float, k: int) -> float:
 
 
 def bisect(f: Callable[[float], float], lo: float, hi: float,
-           tol: float = 1e-10, max_iter: int = 200) -> float:
-    """Root of f on [lo, hi] by bisection; f(lo) and f(hi) must differ
-    in sign (zero endpoints count as roots).
+           tol: float = 1e-10, max_iter: int = 200) -> tuple[float, float]:
+    """Bracket (a, b) of a root of f on [lo, hi] by bisection, with
+    b - a <= tol, f(a) of the sign of f(lo) and f(b) of the sign of
+    f(hi); f(lo) and f(hi) must differ in sign.  An exact zero x, at an
+    end or at a midpoint, returns (x, x).
 
     Raises RuntimeError when max_iter halvings leave the bracket wider
     than tol.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
-        return lo
+        return lo, lo
     if fhi == 0.0:
-        return hi
+        return hi, hi
     if flo * fhi > 0.0:
         raise ValueError(f"no sign change on [{lo}, {hi}]")
     for _ in range(max_iter):
+        if hi - lo <= tol:
+            return lo, hi
         mid = 0.5 * (lo + hi)
         fm = f(mid)
-        if fm == 0.0 or hi - lo <= tol:
-            return mid
+        if fm == 0.0:
+            return mid, mid
         if flo * fm < 0.0:
             hi = mid
         else:
@@ -92,7 +96,7 @@ def bisect(f: Callable[[float], float], lo: float, hi: float,
         raise RuntimeError(
             f"bisection did not narrow [{lo}, {hi}] to tol={tol} in "
             f"{max_iter} iterations")
-    return 0.5 * (lo + hi)
+    return lo, hi
 
 
 def golden_min(f: Callable[[float], float], lo: float, hi: float,
@@ -115,12 +119,6 @@ def golden_min(f: Callable[[float], float], lo: float, hi: float,
             f2 = f(x2)
     x = 0.5 * (lo + hi)
     return x, f(x)
-
-
-def golden_max(f: Callable[[float], float], lo: float, hi: float,
-               tol: float = 1e-10) -> tuple[float, float]:
-    x, v = golden_min(lambda t: -f(t), lo, hi, tol)
-    return x, -v
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:

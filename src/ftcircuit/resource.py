@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import analytic
 from .numerics import inverse_erfc
@@ -36,7 +36,7 @@ class TailModel:
     kind selects the family; alpha/sigma/beta set the noise scale, C the
     tail prefactor, gamma the Pareto exponent, A converts signal
     strength to resource.  w_p is the resource utilization at the
-    operating physical error rate, used in overhead ratios.
+    operating physical error rate, in scale units, used in overhead ratios.
 
     At signal strength R the error rate is C exp(-R/alpha),
     (C/2) erfc(R/(sqrt(2) sigma)) or (C/2) (beta/(beta+R))^gamma,
@@ -50,16 +50,14 @@ class TailModel:
     sigma: float = 1.0
     beta: float = 1.0
     gamma: float = 2.0
-    w_p: float | None = None
+    w_p: float = 1.0
 
     def __post_init__(self):
         if self.kind not in (EXPONENTIAL, GAUSSIAN, PARETO):
             raise ValueError(f"unknown tail kind: {self.kind}")
-        for name in ("A", "C", "alpha", "sigma", "beta", "gamma"):
+        for name in ("A", "C", "alpha", "sigma", "beta", "gamma", "w_p"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.w_p is not None and self.w_p <= 0.0:
-            raise ValueError("w_p must be positive")
 
     @property
     def scale(self) -> float:
@@ -70,11 +68,6 @@ class TailModel:
         if self.kind == GAUSSIAN:
             return math.sqrt(2.0) * self.sigma * self.A
         return self.A * self.beta
-
-
-def _w_p(t: TailModel) -> float:
-    """The model's w_p, 1 (one scale unit) when unset."""
-    return t.w_p if t.w_p is not None else 1.0
 
 
 def error_from_signal(t: TailModel, r: float) -> float:
@@ -144,30 +137,20 @@ class OverheadReport:
     eta_number: float
     n: int
     regime: str
-    inputs: dict = field(default_factory=dict)
-
-
-def _tail_factor(t: TailModel, eps_l: float) -> float:
-    """W_P / W(eps_l) in units where w_p is relative to the model scale."""
-    w_p = _w_p(t)
-    if t.kind != PARETO:
-        return w_p / _unit_resource(t, eps_l)
-    _check_reachable(t, eps_l)
-    x = (2.0 * eps_l / t.C) ** (1.0 / t.gamma)
-    return w_p * x / (1.0 - x)
 
 
 def asymptotic_overhead(t: TailModel, eps_l: float,
                         point: analytic.OperatingPoint, chi: float) -> float:
-    """The closed-form overhead: the tail-dependent resource ratio times
+    """The closed-form overhead: the resource ratio W_P/W(eps_l) times
     (D+1)/chi times the point's code-size coefficient 2f(1-f)/(f-delta)^2,
     with the ln(1/eps_l) width factor; for the exponential tail that
     factor cancels against W(eps_l) and eta is a constant, computed as
     such."""
     construction = (point.depth + 1) * point.coefficient / chi
     if t.kind == EXPONENTIAL:
-        return _w_p(t) * construction
-    return _tail_factor(t, eps_l) * construction * math.log(1.0 / eps_l)
+        return t.w_p * construction
+    return (t.w_p / _unit_resource(t, eps_l) * construction
+            * math.log(1.0 / eps_l))
 
 
 def overhead_ratio(t: TailModel, eps_l: float, point: analytic.OperatingPoint,
@@ -198,19 +181,11 @@ def _overhead_report(t: TailModel, eps_l: float,
                      size: analytic.CodeSizeResult) -> OverheadReport:
     """overhead_ratio at a checked operating point whose code size is
     already known."""
-    w_p = _w_p(t)
-    w_l = resource_tradeoff(t, eps_l) / t.scale
     eta_number = (point.depth + 1) * size.n / chi
-    eta_exact = (w_p / w_l) * eta_number
+    eta_exact = t.w_p / _unit_resource(t, eps_l) * eta_number
     eta_asym = asymptotic_overhead(t, eps_l, point, chi)
     regime = REGIME_FT if eta_exact < 1.0 else REGIME_NON_FT
-    inputs = {
-        "tail": t.kind, "eps_l": eps_l, "eps_p": point.eps_p,
-        "delta": point.delta, "D": point.depth, "chi": chi, "w_p": w_p,
-        "gamma": t.gamma,
-    }
-    return OverheadReport(eta_exact, eta_asym, eta_number, size.n,
-                          regime, inputs)
+    return OverheadReport(eta_exact, eta_asym, eta_number, size.n, regime)
 
 
 @dataclass(frozen=True)
@@ -244,6 +219,8 @@ def phase_grid(t: TailModel, axis1: str, values1, axis2: str, values2,
             raise ValueError(f"unknown grid axis: {axis}")
     if axis1 == axis2:
         raise ValueError("grid axes must differ")
+    if "gamma" in (axis1, axis2) and t.kind != PARETO:
+        raise ValueError("the gamma axis applies to the pareto tail only")
     depth = int(fixed.get("depth", 2))
     chi = float(fixed.get("chi", 1.0))
     delta = fixed.get("delta", "optimal")
@@ -267,7 +244,7 @@ def phase_grid(t: TailModel, axis1: str, values1, axis2: str, values2,
             model = t
             if "w_p" in cell:
                 model = replace(model, w_p=float(cell["w_p"]))
-            if "gamma" in cell and model.kind == PARETO:
+            if "gamma" in cell:
                 model = replace(model, gamma=float(cell["gamma"]))
             if eps_p not in windows:
                 windows[eps_p] = analytic.fixed_points(depth, eps_p)

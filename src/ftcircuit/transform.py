@@ -21,6 +21,7 @@ Bundle = tuple[str, ...]
 WIRING_OFFSET_DOUBLING = "offset-doubling"  # layer l reads back 2**(l-1) mod n
 WIRING_UNIT = "unit"                        # every layer reads back 1 (literal depth-2 rule)
 WIRING_SHARED = "shared"                    # pathological: all gates read wires 0 and 1
+WIRINGS = (WIRING_OFFSET_DOUBLING, WIRING_UNIT, WIRING_SHARED)
 
 
 @dataclass(frozen=True)

@@ -149,6 +149,14 @@ def test_pseudothreshold_anchors():
     assert abs(pseudothreshold(4) - 0.02515) < 1e-4
 
 
+@pytest.mark.parametrize("depth", [2, 4, 6, 8])
+def test_pseudothreshold_is_the_window_edge(depth):
+    # the window exists at the reported value and not 2e-7 above it
+    threshold = pseudothreshold(depth)
+    assert fixed_points(depth, threshold).exists
+    assert not fixed_points(depth, threshold + 2e-7).exists
+
+
 def test_pseudothreshold_ordering():
     p2, p4 = pseudothreshold(2), pseudothreshold(4)
     assert p4 > p2

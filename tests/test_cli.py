@@ -46,6 +46,28 @@ def test_threshold(capsys):
                                                                abs=1e-4)
 
 
+@pytest.mark.parametrize("depth", ["2", "4", "6", "8"])
+def test_analyze_at_printed_threshold(capsys, depth):
+    _, out, _ = run_cli(capsys, "threshold", "--depth", depth)
+    threshold = json.loads(out)["pseudothreshold"]
+    code, out, err = run_cli(capsys, "analyze", "--depth", depth,
+                             "--eps-p", repr(threshold))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["pseudothreshold"] == threshold
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "5", "--eps-p", "0.005", "--formula"],
+    ["chi", "--formula"],
+    ["build", "--n", "5"],
+])
+def test_unknown_wiring_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--wiring", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
 def test_build_gadget(capsys):
     code, out, _ = run_cli(capsys, "build", "--n", "5", "--depth", "2")
     assert code == 0
@@ -146,6 +168,15 @@ def test_phase_rejects_bad_axis(capsys):
     assert code == 1
     assert out == ""
     assert "bad axis spec" in err
+
+
+def test_phase_gamma_axis_needs_pareto(capsys):
+    code, out, err = run_cli(
+        capsys, "phase", "--tail", "gaussian", "--wp-ratio", "2e-4",
+        "--axis1", "gamma=1.5:3:3", "--axis2", "eps_l=1e-20:1e-10:2:log")
+    assert code == 1
+    assert out == ""
+    assert "the gamma axis applies to the pareto tail only" in err
 
 
 @pytest.mark.parametrize("axis1,axis2", [

@@ -57,5 +57,28 @@ def test_log_binom_tail_edges():
 def test_bisect_raises_when_out_of_iterations():
     with pytest.raises(RuntimeError, match=r"tol=1e-10"):
         bisect(lambda x: x - 0.3, 0.0, 1.0, tol=1e-10, max_iter=3)
-    assert bisect(lambda x: x - 0.3, 0.0, 1.0, tol=1e-10) == pytest.approx(
-        0.3, abs=1e-10)
+    a, b = bisect(lambda x: x - 0.3, 0.0, 1.0, tol=1e-10)
+    assert a < 0.3 < b
+    assert 0.5 * (a + b) == pytest.approx(0.3, abs=1e-10)
+
+
+@pytest.mark.parametrize("f,lo,hi", [
+    (lambda x: x - 0.3, 0.0, 1.0),           # rising
+    (math.cos, 0.0, 3.0),                    # falling
+    (lambda x: x ** 3 - 2.0, -1.0, 5.0),
+])
+def test_bisect_bracket(f, lo, hi):
+    for tol in (1e-3, 1e-7, 1e-12):
+        a, b = bisect(f, lo, hi, tol=tol)
+        assert lo <= a < b <= hi and b - a <= tol
+        # each end keeps the sign of f at its side
+        assert f(a) * f(lo) > 0.0 and f(b) * f(hi) > 0.0
+
+
+def test_bisect_exact_zero():
+    # zero at an end, and at the first midpoint
+    assert bisect(lambda x: x - 0.25, 0.25, 1.0) == (0.25, 0.25)
+    assert bisect(lambda x: x - 1.0, 0.25, 1.0) == (1.0, 1.0)
+    assert bisect(lambda x: x - 0.5, 0.0, 1.0) == (0.5, 0.5)
+    # a midpoint a few halvings in
+    assert bisect(lambda x: x - 0.375, 0.0, 1.0, tol=1e-12) == (0.375, 0.375)

@@ -22,8 +22,9 @@ def test_inverse_erfc_center():
 
 def test_inverse_erfc_against_bisection_oracle():
     for y in (0.9, 0.5, 0.1, 1e-3, 1e-8):
-        oracle = bisect(lambda x: erfc(x) - y, 0.0, 10.0, tol=1e-14)
-        assert inverse_erfc(y) == pytest.approx(oracle, rel=1e-10)
+        a, b = bisect(lambda x: erfc(x) - y, 0.0, 10.0, tol=1e-14)
+        assert b - a <= 1e-14
+        assert inverse_erfc(y) == pytest.approx(0.5 * (a + b), rel=1e-10)
 
 
 def test_inverse_erfc_roundtrip_log_grid():
@@ -251,6 +252,14 @@ def test_phase_grid_eps_p_domain():
         with pytest.raises(ValueError, match=r"eps_p must be in \[0, 1/2\)"):
             phase_grid(model, "eps_p", [0.005, eps_p], "eps_l", [1e-10],
                        {"chi": 0.47})
+
+
+def test_phase_grid_gamma_axis_needs_pareto():
+    for kind in (EXPONENTIAL, GAUSSIAN):
+        for axes in (("gamma", "eps_l"), ("eps_l", "gamma")):
+            with pytest.raises(ValueError, match="pareto tail only"):
+                phase_grid(TailModel(kind), axes[0], [1.5, 3.0], axes[1],
+                           [1e-20, 1e-10], {"eps_p": 0.005, "chi": 0.47})
 
 
 def test_phase_grid_fixed_delta_matches_overhead_ratio():

@@ -4,7 +4,7 @@ import pytest
 
 from ftcircuit.circuit import NAND, CircuitError, parse_circuit
 from ftcircuit.transform import (FtParams, WIRING_OFFSET_DOUBLING,
-                                 WIRING_SHARED, WIRING_UNIT,
+                                 WIRING_SHARED, WIRING_UNIT, WIRINGS,
                                  apply_ft_construction, build_formula_gadget,
                                  build_ft_gadget, build_majority_ec_circuit,
                                  build_majority_ec_formula, decode_bits,
@@ -188,9 +188,6 @@ def test_apply_ft_serialization_roundtrips():
     ft = apply_ft_construction(base, FtParams(3, 2))
     again = parse_circuit(ft.serialize())
     assert again == ft.circuit
-
-
-WIRINGS = (WIRING_OFFSET_DOUBLING, WIRING_UNIT, WIRING_SHARED)
 
 
 @pytest.mark.parametrize("wiring", WIRINGS)
