@@ -159,12 +159,89 @@ def fixed_points(depth: int, eps_p: float) -> AmplificationWindow:
     return AmplificationWindow(depth, eps_p, True, lo, hi)
 
 
+def _stage_error_derivatives(depth: int, eps_p: float,
+                             delta: float) -> tuple[float, float, float, float]:
+    """(f, df/ddelta, d2f/ddelta2, df/deps_p) of stage_error, by the
+    forward chain rule through its D + 1 layers.
+
+    Each layer maps its input error e to eps_p + (1 - 2 eps_p) P(e),
+    where P, the noiseless wrong-output probability, is 2e - e^2 for a
+    layer fed encoded 1 (the computation layer, then every second EC
+    layer) and e^2 for a layer fed encoded 0.
+    """
+    q = 1.0 - 2.0 * eps_p
+    e, d1, d2, d_eps = delta, 1.0, 0.0, 0.0
+    for k in range(depth + 1):
+        if k % 2 == 0:
+            p, p1, p2 = 2.0 * e - e * e, 2.0 - 2.0 * e, -2.0
+        else:
+            p, p1, p2 = e * e, 2.0 * e, 2.0
+        d1, d2, d_eps = (q * p1 * d1, q * (p2 * d1 * d1 + p1 * d2),
+                         1.0 - 2.0 * p + q * p1 * d_eps)
+        e = eps_p + q * p
+    return e, d1, d2, d_eps
+
+
+# Newton iterations allowed to each of the tangency solves, and the step
+# at which one stops
+_NEWTON_ITERATIONS = 100
+_NEWTON_TOL = 1e-14
+
+
+def _tangency(depth: int, eps_p: float,
+              delta: float) -> tuple[float, float, float]:
+    """(delta*, f(delta*), df/deps_p there) for the delta* nearest the
+    start delta with f'(delta*) = 1 and f convex around it: the minimum
+    of f(delta) - delta.  Newton on f' = 1; a step that would leave
+    (0, 1/2) or the convex part of f is halved."""
+    f, d1, d2, d_eps = _stage_error_derivatives(depth, eps_p, delta)
+    for _ in range(_NEWTON_ITERATIONS):
+        step = (d1 - 1.0) / d2
+        if abs(step) < _NEWTON_TOL:
+            return delta, f, d_eps
+        for _ in range(60):  # halvings before the solve gives up
+            if 0.0 < delta - step < 0.5:
+                jet = _stage_error_derivatives(depth, eps_p, delta - step)
+                if jet[2] > 0.0:
+                    break
+            step *= 0.5
+        else:
+            break
+        delta -= step
+        f, d1, d2, d_eps = jet
+    raise RuntimeError(f"no tangency of the depth-{depth} stage error "
+                       f"curve found at eps_p={eps_p}")
+
+
 def pseudothreshold(depth: int) -> float:
-    """Largest eps_p, to 1e-7, at which fixed_points finds a window: the
-    window end of the bisection bracket of the minimum gap over eps_p."""
+    """The largest eps_p at which an amplification window exists, less
+    5e-8: the eps_p* where the stage error curve touches the identity,
+    f(delta*) = delta* with f'(delta*) = 1.
+
+    Newton on h(eps_p) = f(delta*) - delta*, whose derivative is
+    df/deps_p at delta* (the envelope theorem), around the tangency solve
+    of _tangency; it starts at eps_p = 0.03, delta = 0.2 and converges
+    for D = 2 to 36.  The answer is returned only when the window search
+    _min_gap finds a window 5e-8 below eps_p* and none 5e-8 above it, so
+    fixed_points finds a window at the returned value; otherwise this
+    raises RuntimeError.
+    """
     check_depth(depth)
-    return bisect(lambda eps_p: _min_gap(depth, eps_p)[1], 0.0, 0.25,
-                  tol=1e-7)[0]
+    eps_p, delta = 0.03, 0.2
+    for _ in range(_NEWTON_ITERATIONS):
+        delta, f, f_eps = _tangency(depth, eps_p, delta)
+        step = (f - delta) / f_eps
+        eps_p -= step
+        if abs(step) < _NEWTON_TOL:
+            break
+    else:
+        raise RuntimeError(f"the depth-{depth} pseudothreshold Newton "
+                           f"iteration did not converge (at {eps_p})")
+    below, above = eps_p - 5e-8, eps_p + 5e-8
+    if not _min_gap(depth, below)[1] <= 0.0 < _min_gap(depth, above)[1]:
+        raise RuntimeError(f"the tangency at eps_p={eps_p} is not the "
+                           f"depth-{depth} window edge")
+    return below
 
 
 def optimal_fiducial(depth: int, eps_p: float) -> float:

@@ -8,6 +8,7 @@ a fixed seed, outputs are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -140,11 +141,14 @@ def _parse_axis(spec: str) -> tuple[str, list[float]]:
     """axis spec: name=lo:hi:steps[:log], with steps >= 1."""
     name, _, rng = spec.partition("=")
     parts = rng.split(":")
+    try:
+        lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    except (IndexError, ValueError):
+        steps = 0
     if (name not in resource.GRID_AXES or len(parts) not in (3, 4)
-            or parts[3:] not in ([], ["log"]) or int(parts[2]) < 1):
+            or parts[3:] not in ([], ["log"]) or steps < 1):
         raise ValueError(f"bad axis spec: {spec!r} "
                          "(want name=lo:hi:steps[:log], steps >= 1)")
-    lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     if parts[3:]:
         import numpy as np
         values = list(np.geomspace(lo, hi, steps))
@@ -174,31 +178,45 @@ def cmd_phase(args):
                   grid.contour, args.contour)
 
 
-class _ConfigAction(argparse.Action):
-    """Make the JSON object in the named file the defaults of the keys
-    this command knows; main then parses again, so explicit flags win."""
+class _CommandParser(argparse.ArgumentParser):
+    """One command's parser.  When --config names a JSON file, the
+    command's arguments are parsed again into a namespace that starts
+    from the file's values for the keys the command knows (string values
+    converted by the option's type), so explicit flags win; the parser
+    itself is left as it was."""
 
-    def __call__(self, parser, namespace, path, option_string=None):
-        with open(path) as fh:
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if namespace.config is None:
+            return namespace, extras
+        with open(namespace.config) as fh:
             config = json.load(fh)
-        parser.set_defaults(**{k: v for k, v in config.items()
-                               if k != "func" and hasattr(namespace, k)})
-        setattr(namespace, self.dest, path)
+        start = argparse.Namespace()
+        for action in self._actions:
+            if action.dest in config and hasattr(namespace, action.dest):
+                value = config[action.dest]
+                if isinstance(value, str) and action.type is not None:
+                    value = action.type(value)
+                setattr(start, action.dest, value)
+        return super().parse_known_args(args, start)
 
 
 def _add_common(p: argparse.ArgumentParser, func):
     p.add_argument("--output", help="write results here instead of stdout")
-    p.add_argument("--config", action=_ConfigAction,
-                   help="JSON file presetting optional flags")
+    p.add_argument("--config", help="JSON file presetting optional flags")
     p.set_defaults(func=func)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every main call
+    in the process; parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="ftcircuit",
         description="fault-tolerant NAND-circuit analysis toolkit")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_CommandParser)
 
     p = sub.add_parser("analyze", help="fixed points, pseudothreshold, "
                        "optimal fiducial, code-size coefficient")
@@ -288,12 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.config:
-            # the first pass made the file's values the command's defaults
-            args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

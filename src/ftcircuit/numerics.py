@@ -1,9 +1,10 @@
 """Shared numerical routines: binomial pmfs and log-space tails,
-bracketing root finders, golden-section optimization, Wilson confidence
-intervals, and an inverse complementary error function.
+bisection, golden-section optimization, Wilson confidence intervals, and
+an inverse complementary error function.
 
-Root finders are bracketing throughout: robustness is preferred over
-iteration count at the problem sizes involved here.
+The root finders here bracket.  The one Newton iteration in the package,
+the pseudothreshold's tangency solve in analytic, checks its answer
+against the golden-section window search before returning it.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.special import erfcinv, gammaln, logsumexp
+from scipy.special import erfcinv, gammaln
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -41,7 +42,22 @@ def log_binom_tail(n: int, p: float, k: int) -> float:
     else:
         last = min(n, k + 1 + math.ceil((39.2 - math.log1p(-r))
                                         / -math.log(r)))
-    return float(logsumexp(_log_binom_terms(n, p, np.arange(k, last + 1))))
+    return _log_sum_exp(_log_binom_terms(n, p, np.arange(k, last + 1)))
+
+
+def _log_sum_exp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) for finite a, by the steps of
+    scipy.special.logsumexp: the m maxima are split out of the sum of
+    the shifted exponentials, which is divided by m when it is not 0."""
+    a_max = a.max()
+    top = a == a_max
+    m = np.count_nonzero(top)
+    shifted = np.exp(a - a_max)
+    shifted[top] = 0.0
+    s = shifted.sum()
+    if s != 0.0:
+        s = s / m
+    return float(np.log1p(s) + np.log(m) + a_max)
 
 
 def _log_binom_terms(n: int, p: float, ks: np.ndarray) -> np.ndarray:

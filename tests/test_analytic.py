@@ -10,7 +10,7 @@ from ftcircuit.analytic import (fixed_points, logical_error_formula,
                                 optimal_fiducial, pseudothreshold,
                                 required_code_size, stage_error,
                                 stage_error_depth2_closed_form)
-from ftcircuit.numerics import _log_binom_terms, ols_fit
+from ftcircuit.numerics import _log_binom_terms, bisect, ols_fit
 from ftcircuit.resource import EXPONENTIAL, TailModel, overhead_ratio
 
 EVANS_PIPPENGER = (3.0 - math.sqrt(7.0)) / 4.0
@@ -155,6 +155,42 @@ def test_pseudothreshold_is_the_window_edge(depth):
     threshold = pseudothreshold(depth)
     assert fixed_points(depth, threshold).exists
     assert not fixed_points(depth, threshold + 2e-7).exists
+
+
+def bisection_pseudothreshold(depth: int) -> float:
+    """The window edge by bisection over eps_p of the window search's
+    minimum gap, to 1e-7: the bracket end that has a window."""
+    return bisect(lambda eps_p: analytic._min_gap(depth, eps_p)[1],
+                  0.0, 0.25, tol=1e-7)[0]
+
+
+@pytest.mark.parametrize("depth", range(2, 38, 2))
+def test_pseudothreshold_matches_bisection_oracle(depth):
+    assert abs(pseudothreshold(depth)
+               - bisection_pseudothreshold(depth)) <= 1e-7
+
+
+@pytest.mark.parametrize("depth", [2, 4, 6, 8])
+def test_stage_error_derivatives_match_central_differences(depth):
+    def f(eps_p, delta):
+        return stage_error(depth, eps_p, delta)
+
+    for eps_p in (0.001, 0.005, 0.02, 0.04):
+        for delta in (0.01, 0.07, 0.2, 0.3, 0.45):
+            value, d1, d2, d_eps = analytic._stage_error_derivatives(
+                depth, eps_p, delta)
+            assert value == pytest.approx(f(eps_p, delta), rel=1e-14)
+            h = 1e-6
+            assert d1 == pytest.approx(
+                (f(eps_p, delta + h) - f(eps_p, delta - h)) / (2 * h),
+                rel=1e-7, abs=1e-9)
+            assert d_eps == pytest.approx(
+                (f(eps_p + h, delta) - f(eps_p - h, delta)) / (2 * h),
+                rel=1e-7, abs=1e-9)
+            h = 1e-4
+            assert d2 == pytest.approx(
+                (f(eps_p, delta + h) - 2.0 * f(eps_p, delta)
+                 + f(eps_p, delta - h)) / (h * h), rel=1e-4, abs=1e-6)
 
 
 def test_pseudothreshold_ordering():

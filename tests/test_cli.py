@@ -184,6 +184,8 @@ def test_phase_gamma_axis_needs_pareto(capsys):
     ("eps_p=0.005:0.007:3", "eps_l=1e-20:1e-15:3:"),
     ("eps_p=0.005:0.007:0", "eps_l=1e-20:1e-15:2:log"),
     ("eps_p=0.005:0.007:-1", "eps_l=1e-20:1e-15:2:log"),
+    ("eps_p=0.005:0.007:x", "eps_l=1e-20:1e-15:2:log"),
+    ("eps_p=a:0.007:3", "eps_l=1e-20:1e-15:2:log"),
 ])
 def test_phase_rejects_unknown_scale_and_empty_axis(capsys, axis1, axis2):
     code, out, err = run_cli(
@@ -218,6 +220,25 @@ def test_explicit_flag_beats_config_file(capsys, tmp_path):
         _, out, _ = run_cli(capsys, "threshold", *argv)
         assert json.loads(out)["pseudothreshold"] == pytest.approx(
             0.01077, abs=1e-4)
+
+
+def test_config_leaves_no_state_between_calls(capsys, tmp_path):
+    # every main call in a process shares one parser
+    want = {depth: json.loads(run_cli(capsys, "threshold", "--depth",
+                                      str(depth))[1])["pseudothreshold"]
+            for depth in (2, 4, 6)}
+    configs = {}
+    for depth, value in ((4, 4), (6, "6")):   # a string is converted
+        configs[depth] = tmp_path / f"depth{depth}.json"
+        configs[depth].write_text(json.dumps({"depth": value}))
+    for argv, depth in ((["--config", str(configs[4])], 4), ([], 2),
+                        (["--config", str(configs[6])], 6),
+                        (["--config", str(configs[4])], 4), ([], 2)):
+        code, out, _ = run_cli(capsys, "threshold", *argv)
+        data = json.loads(out)
+        assert code == 0
+        assert data["pseudothreshold"] == want[depth]
+        assert data["meta"]["params"]["depth"] == depth
 
 
 def test_unparsable_threads_variable_is_harmless(capsys, monkeypatch):

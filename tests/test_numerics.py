@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -52,6 +53,17 @@ def test_log_binom_tail_edges():
     assert log_binom_tail(1, 0.01, 1) == full_log_tail(1, 0.01, 1)
     assert log_binom_tail(7, 0.2, 7) == pytest.approx(7 * math.log(0.2),
                                                       rel=1e-15)
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (5, 2)])
+def test_log_binom_tail_tied_maxima(n, k):
+    # at p = 1/2 the terms C(n, k) and C(n, k + 1) are the two largest;
+    # the sum splits both out of the shifted exponentials
+    terms = _log_binom_terms(n, 0.5, np.arange(k, n + 1))
+    assert np.count_nonzero(terms == terms.max()) == 2
+    exact = sum(Fraction(math.comb(n, j), 2 ** n) for j in range(k, n + 1))
+    assert log_binom_tail(n, 0.5, k) == pytest.approx(math.log(exact),
+                                                      rel=4e-15)
 
 
 def test_bisect_raises_when_out_of_iterations():
