@@ -11,6 +11,7 @@ formula (fan-out-1) gadgets have independent output wires.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,26 +28,50 @@ def check_rate(name: str, value: float):
         raise ValueError(f"{name} must be in [0, 1/2), got {value}")
 
 
+def _layer(e: float, eps_p: float, fed_one: bool) -> float:
+    """Per-wire error after a noisy NAND layer whose inputs are each
+    wrong with probability e: eps_p + (1 - 2 eps_p) P(e), where P, the
+    chance the noiseless output is wrong, is 2e - e^2 when the inputs
+    encode 1 (either wrong input corrupts the output) and e^2 when they
+    encode 0 (both must be wrong); the output then flips with
+    probability eps_p."""
+    if fed_one:
+        return eps_p + (1.0 - 2.0 * eps_p) * (2.0 * e - e * e)
+    return eps_p + (1.0 - 2.0 * eps_p) * e * e
+
+
+def _layer_slopes(e: float, eps_p: float,
+                  fed_one: bool) -> tuple[float, float, float]:
+    """(d/de, d2/de2, d/deps_p) of _layer at (e, eps_p)."""
+    if fed_one:
+        p, p1, p2 = 2.0 * e - e * e, 2.0 - 2.0 * e, -2.0
+    else:
+        p, p1, p2 = e * e, 2.0 * e, 2.0
+    q = 1.0 - 2.0 * eps_p
+    return q * p1, q * p2, 1.0 - 2.0 * p
+
+
+@functools.cache
+def _ec_layers(depth: int) -> tuple[bool, ...]:
+    """For each of the D layers of an error-correction block whose input
+    wires encode 0, whether that layer is fed wires that encode 1: the
+    encoded value alternates layer to layer, so the odd layers are fed 0
+    and the even layers 1."""
+    return tuple(k % 2 == 0 for k in range(1, depth + 1))
+
+
 def computation_error(e: float, eps_p: float) -> float:
     """Per-wire error after a noisy NAND layer whose inputs encode 1 and
-    are each wrong with probability e: either wrong input corrupts the
-    output, which then flips with probability eps_p."""
-    return eps_p + (1.0 - 2.0 * eps_p) * (2.0 * e - e * e)
+    are each wrong with probability e."""
+    return _layer(e, eps_p, True)
 
 
 def ec_error(depth: int, eps_p: float, e: float) -> float:
     """Per-wire error after the D layers of a fan-out-1 error-correction
     block fed wires that encode 0 and are each wrong with probability e.
-
-    The encoded value alternates layer to layer: a layer fed encoded 0
-    needs both inputs wrong, a layer fed encoded 1 is a computation
-    layer.
     """
-    for k in range(1, depth + 1):
-        if k % 2 == 1:
-            e = eps_p + (1.0 - 2.0 * eps_p) * e * e
-        else:
-            e = computation_error(e, eps_p)
+    for fed_one in _ec_layers(depth):
+        e = _layer(e, eps_p, fed_one)
     return e
 
 
@@ -162,23 +187,13 @@ def fixed_points(depth: int, eps_p: float) -> AmplificationWindow:
 def _stage_error_derivatives(depth: int, eps_p: float,
                              delta: float) -> tuple[float, float, float, float]:
     """(f, df/ddelta, d2f/ddelta2, df/deps_p) of stage_error, by the
-    forward chain rule through its D + 1 layers.
-
-    Each layer maps its input error e to eps_p + (1 - 2 eps_p) P(e),
-    where P, the noiseless wrong-output probability, is 2e - e^2 for a
-    layer fed encoded 1 (the computation layer, then every second EC
-    layer) and e^2 for a layer fed encoded 0.
-    """
-    q = 1.0 - 2.0 * eps_p
+    forward chain rule through the layers of stage_error; f is
+    stage_error's own value."""
     e, d1, d2, d_eps = delta, 1.0, 0.0, 0.0
-    for k in range(depth + 1):
-        if k % 2 == 0:
-            p, p1, p2 = 2.0 * e - e * e, 2.0 - 2.0 * e, -2.0
-        else:
-            p, p1, p2 = e * e, 2.0 * e, 2.0
-        d1, d2, d_eps = (q * p1 * d1, q * (p2 * d1 * d1 + p1 * d2),
-                         1.0 - 2.0 * p + q * p1 * d_eps)
-        e = eps_p + q * p
+    for fed_one in (True, *_ec_layers(depth)):
+        s1, s2, s_eps = _layer_slopes(e, eps_p, fed_one)
+        d1, d2, d_eps = s1 * d1, s2 * d1 * d1 + s1 * d2, s_eps + s1 * d_eps
+        e = _layer(e, eps_p, fed_one)
     return e, d1, d2, d_eps
 
 
@@ -189,12 +204,15 @@ _NEWTON_TOL = 1e-14
 
 
 def _tangency(depth: int, eps_p: float,
-              delta: float) -> tuple[float, float, float]:
+              delta: float) -> tuple[float, float, float] | None:
     """(delta*, f(delta*), df/deps_p there) for the delta* nearest the
     start delta with f'(delta*) = 1 and f convex around it: the minimum
     of f(delta) - delta.  Newton on f' = 1; a step that would leave
-    (0, 1/2) or the convex part of f is halved."""
+    (0, 1/2) or the convex part of f is halved.  None when the start is
+    not convex or the solve does not converge."""
     f, d1, d2, d_eps = _stage_error_derivatives(depth, eps_p, delta)
+    if not d2 > 0.0:
+        return None
     for _ in range(_NEWTON_ITERATIONS):
         step = (d1 - 1.0) / d2
         if abs(step) < _NEWTON_TOL:
@@ -206,11 +224,10 @@ def _tangency(depth: int, eps_p: float,
                     break
             step *= 0.5
         else:
-            break
+            return None
         delta -= step
         f, d1, d2, d_eps = jet
-    raise RuntimeError(f"no tangency of the depth-{depth} stage error "
-                       f"curve found at eps_p={eps_p}")
+    return None
 
 
 def pseudothreshold(depth: int) -> float:
@@ -218,21 +235,42 @@ def pseudothreshold(depth: int) -> float:
     5e-8: the eps_p* where the stage error curve touches the identity,
     f(delta*) = delta* with f'(delta*) = 1.
 
-    Newton on h(eps_p) = f(delta*) - delta*, whose derivative is
-    df/deps_p at delta* (the envelope theorem), around the tangency solve
-    of _tangency; it starts at eps_p = 0.03, delta = 0.2 and converges
-    for D = 2 to 36.  The answer is returned only when the window search
-    _min_gap finds a window 5e-8 below eps_p* and none 5e-8 above it, so
-    fixed_points finds a window at the returned value; otherwise this
-    raises RuntimeError.
+    Safeguarded Newton on h(eps_p) = f(delta*) - delta*, whose derivative
+    is df/deps_p at delta* (the envelope theorem), around the tangency
+    solve of _tangency.  It starts at eps_p = 0.03, delta = 0.2 and keeps
+    eps_p inside a bracket [lo, hi] with h(lo) <= 0 < h(hi), first
+    [0, 1/4].  Where the tangency solve fails, the window search _min_gap
+    gives the sign of h and, when a window exists, the delta from which
+    the next solve starts; where that happens or a Newton step would
+    leave the bracket, eps_p bisects it instead.  The answer is returned
+    only when _min_gap finds a window 5e-8 below eps_p* and none 5e-8
+    above it, so fixed_points finds a window at the returned value;
+    otherwise this raises RuntimeError.
     """
     check_depth(depth)
+    lo, hi = 0.0, 0.25
     eps_p, delta = 0.03, 0.2
     for _ in range(_NEWTON_ITERATIONS):
-        delta, f, f_eps = _tangency(depth, eps_p, delta)
-        step = (f - delta) / f_eps
-        eps_p -= step
+        tangency = _tangency(depth, eps_p, delta)
+        if tangency is None:
+            d_min, gap = _min_gap(depth, eps_p)
+            if gap <= 0.0:
+                delta = d_min
+            step = math.nan
+        else:
+            delta, f, f_eps = tangency
+            gap = f - delta
+            step = gap / f_eps
+        if gap <= 0.0:
+            lo = eps_p
+        else:
+            hi = eps_p
         if abs(step) < _NEWTON_TOL:
+            eps_p -= step
+            break
+        eps_p = (eps_p - step if lo < eps_p - step < hi
+                 else 0.5 * (lo + hi))
+        if hi - lo <= _NEWTON_TOL:
             break
     else:
         raise RuntimeError(f"the depth-{depth} pseudothreshold Newton "

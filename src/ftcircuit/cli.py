@@ -182,8 +182,9 @@ class _CommandParser(argparse.ArgumentParser):
     """One command's parser.  When --config names a JSON file, the
     command's arguments are parsed again into a namespace that starts
     from the file's values for the keys the command knows (string values
-    converted by the option's type), so explicit flags win; the parser
-    itself is left as it was."""
+    converted by the option's type, as argparse converts string
+    defaults), so explicit flags win; the parser itself is left as it
+    was."""
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)
@@ -195,8 +196,11 @@ class _CommandParser(argparse.ArgumentParser):
         for action in self._actions:
             if action.dest in config and hasattr(namespace, action.dest):
                 value = config[action.dest]
-                if isinstance(value, str) and action.type is not None:
-                    value = action.type(value)
+                if isinstance(value, str):
+                    try:
+                        value = self._get_value(action, value)
+                    except argparse.ArgumentError as exc:
+                        self.error(str(exc))
                 setattr(start, action.dest, value)
         return super().parse_known_args(args, start)
 

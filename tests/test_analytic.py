@@ -164,7 +164,7 @@ def bisection_pseudothreshold(depth: int) -> float:
                   0.0, 0.25, tol=1e-7)[0]
 
 
-@pytest.mark.parametrize("depth", range(2, 38, 2))
+@pytest.mark.parametrize("depth", [*range(2, 42, 2), 80, 100])
 def test_pseudothreshold_matches_bisection_oracle(depth):
     assert abs(pseudothreshold(depth)
                - bisection_pseudothreshold(depth)) <= 1e-7
@@ -179,7 +179,7 @@ def test_stage_error_derivatives_match_central_differences(depth):
         for delta in (0.01, 0.07, 0.2, 0.3, 0.45):
             value, d1, d2, d_eps = analytic._stage_error_derivatives(
                 depth, eps_p, delta)
-            assert value == pytest.approx(f(eps_p, delta), rel=1e-14)
+            assert value == f(eps_p, delta)
             h = 1e-6
             assert d1 == pytest.approx(
                 (f(eps_p, delta + h) - f(eps_p, delta - h)) / (2 * h),

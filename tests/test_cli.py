@@ -241,6 +241,26 @@ def test_config_leaves_no_state_between_calls(capsys, tmp_path):
         assert data["meta"]["params"]["depth"] == depth
 
 
+def test_config_value_that_does_not_convert_is_a_usage_error(capsys,
+                                                            tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"depth": "abc"}))
+    with pytest.raises(SystemExit) as exc:
+        main(["threshold", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["threshold", "--depth", "38"],
+                                  ["analyze", "--depth", "38",
+                                   "--eps-p", "0.005"]])
+def test_deep_stage_pseudothreshold(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["pseudothreshold"] == pytest.approx(0.067076,
+                                                               abs=1e-6)
+
+
 def test_unparsable_threads_variable_is_harmless(capsys, monkeypatch):
     # the CLI reads no thread-count variable; it runs single threaded
     monkeypatch.setenv("FT_THREADS", "abc")
