@@ -298,9 +298,12 @@ def resolve_delta(depth: int, eps_p: float, delta) -> float:
 def failure_threshold(n: int, delta: float | None) -> int:
     """Wrong-wire count at which a bundle stops encoding: majority (more
     wrong than right) when delta is None, else ceil(delta * n); a bundle
-    with wrong count r encodes iff r < delta * n."""
+    with wrong count r encodes iff r < delta * n, for delta in (0, 1]."""
     if delta is None:
         return n // 2 + 1
+    if not 0.0 < delta <= 1.0:
+        raise ValueError(f"failure threshold fraction must be in (0, 1], "
+                         f"got {delta}")
     return max(math.ceil(delta * n), 1)
 
 

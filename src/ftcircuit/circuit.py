@@ -99,14 +99,6 @@ class Circuit:
         return tuple(g.name for g in self.gates if g.name not in used)
 
     @cached_property
-    def wire_index(self) -> dict[str, int]:
-        """Stable dense index: inputs first, then gates in declaration order."""
-        idx = {w: i for i, w in enumerate(self.inputs)}
-        for g in self.gates:
-            idx[g.name] = len(idx)
-        return idx
-
-    @cached_property
     def depths(self) -> dict[str, int]:
         """ASAP depth per wire: inputs at 0, gates at 1 + max(parent depth).
 
@@ -139,7 +131,8 @@ class Circuit:
     @cached_property
     def topological_order(self) -> tuple[Gate, ...]:
         d = self.depths
-        return tuple(sorted(self.gates, key=lambda g: (d[g.name], self.wire_index[g.name])))
+        # a stable sort: gates of equal depth keep declaration order
+        return tuple(sorted(self.gates, key=lambda g: d[g.name]))
 
     def validate(self) -> list[str]:
         """Check the DAG invariants; returns a list of violations (empty = valid)."""

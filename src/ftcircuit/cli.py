@@ -56,7 +56,11 @@ def _fmt(v) -> str:
 
 
 def _parse_n_range(spec: str) -> tuple[int, ...]:
-    return tuple(int(s) for s in spec.split(",") if s.strip())
+    try:
+        return tuple(int(s) for s in spec.split(",") if s.strip())
+    except ValueError:
+        raise ValueError(f"bad n range: {spec!r} "
+                         "(want comma-separated odd code sizes)") from None
 
 
 def _tail_model(args: argparse.Namespace) -> resource.TailModel:
@@ -162,7 +166,7 @@ def cmd_phase(args):
     axis1, values1 = _parse_axis(args.axis1)
     axis2, values2 = _parse_axis(args.axis2)
     fixed = {"depth": args.depth, "chi": args.chi, "delta": args.delta,
-             "eps_p": args.eps_p, "eps_l": args.eps_l, "w_p": args.wp_ratio}
+             "eps_p": args.eps_p, "eps_l": args.eps_l}
     fixed = {k: v for k, v in fixed.items() if v is not None}
     grid = resource.phase_grid(model, axis1, values1, axis2, values2, fixed)
     rows = []
@@ -205,16 +209,33 @@ class _CommandParser(argparse.ArgumentParser):
         return super().parse_known_args(args, start)
 
 
-def _add_common(p: argparse.ArgumentParser, func):
-    p.add_argument("--output", help="write results here instead of stdout")
-    p.add_argument("--config", help="JSON file presetting optional flags")
-    p.set_defaults(func=func)
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on first use and shared by every main call
     in the process; parsing leaves no state in it."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--depth", type=int, default=2)
+    common.add_argument("--output",
+                        help="write results here instead of stdout")
+    common.add_argument("--config", help="JSON file presetting optional flags")
+    wiring = argparse.ArgumentParser(add_help=False)
+    wiring.add_argument("--wiring", default=transform.WIRING_OFFSET_DOUBLING,
+                        choices=transform.WIRINGS)
+    engine = argparse.ArgumentParser(add_help=False, parents=[wiring])
+    engine.add_argument("--method", default="auto",
+                        choices=["auto", "exact", "monte_carlo"])
+    engine.add_argument("--formula", action="store_true",
+                        help="use the fan-out-1 tree variant (chi = 1)")
+    engine.add_argument("--samples", type=int, default=1_000_000)
+    engine.add_argument("--seed", type=int, default=0)
+    tail = argparse.ArgumentParser(add_help=False)
+    tail.add_argument("--tail", required=True, choices=resource.TAILS)
+    tail.add_argument("--wp-ratio", type=float, default=1.0,
+                      help="W_P in units of the tail's scale constant")
+    tail.add_argument("--gamma", type=float, default=2.0)
+    tail.add_argument("--delta", default="optimal")
+    tail.add_argument("--chi", type=float, default=0.47)
+
     parser = argparse.ArgumentParser(
         prog="ftcircuit",
         description="fault-tolerant NAND-circuit analysis toolkit")
@@ -222,89 +243,55 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_CommandParser)
 
-    p = sub.add_parser("analyze", help="fixed points, pseudothreshold, "
-                       "optimal fiducial, code-size coefficient")
-    p.add_argument("--depth", type=int, default=2)
+    def command(name, func, *groups, help):
+        p = sub.add_parser(name, parents=[common, *groups], help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("analyze", _json_command(cmd_analyze),
+                help="fixed points, pseudothreshold, optimal fiducial, "
+                "code-size coefficient")
     p.add_argument("--eps-p", type=float, required=True)
-    _add_common(p, _json_command(cmd_analyze))
 
-    p = sub.add_parser("threshold", help="pseudothreshold for a depth")
-    p.add_argument("--depth", type=int, default=2)
-    _add_common(p, _json_command(cmd_threshold))
+    command("threshold", _json_command(cmd_threshold),
+            help="pseudothreshold for a depth")
 
-    p = sub.add_parser("chi", help="estimate the independency chi")
-    p.add_argument("--depth", type=int, default=2)
+    p = command("chi", _json_command(cmd_chi), engine,
+                help="estimate the independency chi")
     p.add_argument("--eps-p", type=float, default=0.005)
     p.add_argument("--delta", default="optimal")
     p.add_argument("--n-range", default=",".join(
         str(n) for n in chi_mod.DEFAULT_N_RANGE))
-    p.add_argument("--method", default="auto",
-                   choices=["auto", "exact", "monte_carlo"])
-    p.add_argument("--formula", action="store_true",
-                   help="measure the fan-out-1 tree variant (chi = 1)")
-    p.add_argument("--wiring", default=transform.WIRING_OFFSET_DOUBLING,
-                   choices=transform.WIRINGS)
-    p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", help="also write the per-n points as CSV here")
-    _add_common(p, _json_command(cmd_chi))
 
-    p = sub.add_parser("build", help="emit a fault-tolerant netlist")
+    p = command("build", cmd_build, wiring,
+                help="emit a fault-tolerant netlist")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--depth", type=int, default=2)
     p.add_argument("--netlist", help="transform this base netlist instead "
                    "of emitting a single gadget")
-    p.add_argument("--wiring", default=transform.WIRING_OFFSET_DOUBLING,
-                   choices=transform.WIRINGS)
-    _add_common(p, cmd_build)
 
-    p = sub.add_parser("simulate", help="logical error of one gadget stage")
+    p = command("simulate", _json_command(cmd_simulate), engine,
+                help="logical error of one gadget stage")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--depth", type=int, default=2)
     p.add_argument("--eps-p", type=float, required=True)
     p.add_argument("--delta", type=float, default=0.058)
     p.add_argument("--delta-threshold", type=float,
-                   help="failure threshold fraction; default majority")
-    p.add_argument("--method", default="auto",
-                   choices=["auto", "exact", "monte_carlo"])
-    p.add_argument("--formula", action="store_true")
+                   help="failure threshold fraction in (0, 1]; "
+                   "default majority")
     p.add_argument("--block", default="gadget", choices=["gadget", "ec"])
-    p.add_argument("--wiring", default=transform.WIRING_OFFSET_DOUBLING,
-                   choices=transform.WIRINGS)
-    p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p, _json_command(cmd_simulate))
 
-    p = sub.add_parser("overhead", help="resource overhead eta at a point")
-    p.add_argument("--tail", required=True,
-                   choices=[resource.EXPONENTIAL, resource.GAUSSIAN,
-                            resource.PARETO])
-    p.add_argument("--wp-ratio", type=float, default=1.0,
-                   help="W_P in units of the tail's scale constant")
-    p.add_argument("--gamma", type=float, default=2.0)
+    p = command("overhead", _json_command(cmd_overhead), tail,
+                help="resource overhead eta at a point")
     p.add_argument("--eps-l", type=float, required=True)
     p.add_argument("--eps-p", type=float, default=0.005)
-    p.add_argument("--delta", default="optimal")
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--chi", type=float, default=0.47)
-    _add_common(p, _json_command(cmd_overhead))
 
-    p = sub.add_parser("phase", help="eta over a 2-parameter grid (CSV)")
-    p.add_argument("--tail", required=True,
-                   choices=[resource.EXPONENTIAL, resource.GAUSSIAN,
-                            resource.PARETO])
-    p.add_argument("--wp-ratio", type=float, default=1.0,
-                   help="W_P in units of the tail's scale constant")
-    p.add_argument("--gamma", type=float, default=2.0)
+    p = command("phase", cmd_phase, tail,
+                help="eta over a 2-parameter grid (CSV)")
     p.add_argument("--axis1", required=True, help="name=lo:hi:steps[:log]")
     p.add_argument("--axis2", required=True, help="name=lo:hi:steps[:log]")
     p.add_argument("--eps-p", type=float)
     p.add_argument("--eps-l", type=float)
-    p.add_argument("--delta", default="optimal")
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--chi", type=float, default=0.47)
     p.add_argument("--contour", help="write eta=1 contour points here")
-    _add_common(p, cmd_phase)
 
     return parser
 

@@ -8,6 +8,7 @@ the fault-tolerant construction: eta < 1 means fault tolerance wins.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -19,6 +20,7 @@ from scipy.special import erfc
 EXPONENTIAL = "exponential"
 GAUSSIAN = "gaussian"
 PARETO = "pareto"
+TAILS = (EXPONENTIAL, GAUSSIAN, PARETO)
 
 REGIME_FT = "FT"
 REGIME_NON_FT = "non-FT"
@@ -53,7 +55,7 @@ class TailModel:
     w_p: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in (EXPONENTIAL, GAUSSIAN, PARETO):
+        if self.kind not in TAILS:
             raise ValueError(f"unknown tail kind: {self.kind}")
         for name in ("A", "C", "alpha", "sigma", "beta", "gamma", "w_p"):
             if getattr(self, name) <= 0.0:
@@ -88,20 +90,15 @@ def error_from_signal(t: TailModel, r: float) -> float:
     return eps
 
 
-def _check_reachable(t: TailModel, eps: float):
-    """Reject an error rate above the tail's value at zero signal, which
-    no signal strength R >= 0 produces."""
+def _unit_resource(t: TailModel, eps: float) -> float:
+    """W(eps) in units of the model scale: ln(C/eps), erfcinv(2 eps/C) or
+    (2 eps/C)^(-1/gamma) - 1.  An eps above the tail's value at zero
+    signal, which no signal strength R >= 0 produces, is rejected."""
     at_zero = t.C if t.kind == EXPONENTIAL else 0.5 * t.C
     if eps > at_zero:
         raise ValueError(
             f"{t.kind} tail with C={t.C} cannot reach eps={eps}; its "
             f"value at zero signal is {at_zero}")
-
-
-def _unit_resource(t: TailModel, eps: float) -> float:
-    """W(eps) in units of the model scale: ln(C/eps), erfcinv(2 eps/C) or
-    (2 eps/C)^(-1/gamma) - 1."""
-    _check_reachable(t, eps)
     if t.kind == EXPONENTIAL:
         return math.log(t.C / eps)
     if t.kind == GAUSSIAN:
@@ -209,10 +206,11 @@ def phase_grid(t: TailModel, axis1: str, values1, axis2: str, values2,
                fixed: dict) -> PhaseGrid:
     """Evaluate eta over a grid of two of {eps_p, eps_l, w_p, gamma}.
 
-    fixed supplies the remaining parameters (eps_p, eps_l, delta, depth,
-    chi, w_p as applicable); delta may be "optimal".  Cells where the
-    amplification window of eps_p does not exist, or eps_l >= eps_p, are
-    marked invalid with eta = nan.
+    fixed supplies the rest (eps_p, eps_l, delta, depth, chi; a w_p or
+    gamma there overrides the model's); eps_l must be fixed or an axis,
+    and delta may be "optimal".  Cells where the amplification window of
+    eps_p does not exist, or eps_l >= eps_p, are marked invalid with
+    eta = nan.
     """
     for axis in (axis1, axis2):
         if axis not in GRID_AXES:
@@ -221,6 +219,8 @@ def phase_grid(t: TailModel, axis1: str, values1, axis2: str, values2,
         raise ValueError("grid axes must differ")
     if "gamma" in (axis1, axis2) and t.kind != PARETO:
         raise ValueError("the gamma axis applies to the pareto tail only")
+    if "eps_l" not in (axis1, axis2, *fixed):
+        raise ValueError("eps_l must be fixed or a grid axis")
     depth = int(fixed.get("depth", 2))
     chi = float(fixed.get("chi", 1.0))
     delta = fixed.get("delta", "optimal")
@@ -228,50 +228,33 @@ def phase_grid(t: TailModel, axis1: str, values1, axis2: str, values2,
     # one window per eps_p, and one operating point per eps_p with a valid
     # cell; the code size depends only on (eps_l, eps_p), so cells that
     # differ only in w_p or gamma share one search
-    windows: dict[float, analytic.AmplificationWindow] = {}
-    points: dict[float, analytic.OperatingPoint] = {}
-    sizes: dict[tuple[float, float], analytic.CodeSizeResult] = {}
+    window = functools.cache(
+        lambda eps_p: analytic.fixed_points(depth, eps_p))
+    point = functools.cache(lambda eps_p: window(eps_p).point(delta))
+    size = functools.cache(lambda eps_l, eps_p: analytic.required_code_size(
+        eps_l, point(eps_p)))
+    invalid = OverheadReport(math.nan, math.nan, math.nan, 0, REGIME_INVALID)
 
-    exact_rows, asym_rows, regime_rows = [], [], []
-    for v1 in values1:
-        exact_row, asym_row, regime_row = [], [], []
-        for v2 in values2:
-            cell = dict(fixed)
-            cell[axis1] = v1
-            cell[axis2] = v2
-            eps_p = float(cell.get("eps_p", 0.005))
-            eps_l = float(cell["eps_l"])
-            model = t
-            if "w_p" in cell:
-                model = replace(model, w_p=float(cell["w_p"]))
-            if "gamma" in cell:
-                model = replace(model, gamma=float(cell["gamma"]))
-            if eps_p not in windows:
-                windows[eps_p] = analytic.fixed_points(depth, eps_p)
-            if not windows[eps_p].exists or eps_l >= eps_p:
-                exact_row.append(math.nan)
-                asym_row.append(math.nan)
-                regime_row.append(REGIME_INVALID)
-                continue
-            _check_operating_point(eps_l, eps_p, chi)
-            if eps_p not in points:
-                points[eps_p] = windows[eps_p].point(delta)
-            if (eps_l, eps_p) not in sizes:
-                sizes[eps_l, eps_p] = analytic.required_code_size(
-                    eps_l, points[eps_p])
-            report = _overhead_report(model, eps_l, points[eps_p], chi,
-                                      sizes[eps_l, eps_p])
-            exact_row.append(report.eta)
-            asym_row.append(report.eta_asymptotic)
-            regime_row.append(report.regime)
-        exact_rows.append(tuple(exact_row))
-        asym_rows.append(tuple(asym_row))
-        regime_rows.append(tuple(regime_row))
+    def report(v1, v2) -> OverheadReport:
+        cell = {**fixed, axis1: v1, axis2: v2}
+        eps_p, eps_l = float(cell.get("eps_p", 0.005)), float(cell["eps_l"])
+        model = replace(t, **{k: float(cell[k]) for k in ("w_p", "gamma")
+                              if k in cell})
+        if not window(eps_p).exists or eps_l >= eps_p:
+            return invalid
+        _check_operating_point(eps_l, eps_p, chi)
+        return _overhead_report(model, eps_l, point(eps_p), chi,
+                                size(eps_l, eps_p))
 
-    contour = _extract_contour(values1, values2, exact_rows)
+    cells = [[report(v1, v2) for v2 in values2] for v1 in values1]
+    eta_exact = tuple(tuple(r.eta for r in row) for row in cells)
+    eta_asymptotic = tuple(tuple(r.eta_asymptotic for r in row)
+                           for row in cells)
+    regime = tuple(tuple(r.regime for r in row) for row in cells)
+    contour = _extract_contour(values1, values2, eta_exact)
     return PhaseGrid(axis1, axis2, tuple(float(v) for v in values1),
-                     tuple(float(v) for v in values2), tuple(exact_rows),
-                     tuple(asym_rows), tuple(regime_rows), tuple(contour))
+                     tuple(float(v) for v in values2), eta_exact,
+                     eta_asymptotic, regime, tuple(contour))
 
 
 def _extract_contour(values1, values2, grid) -> list[tuple[float, float]]:

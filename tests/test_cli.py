@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from ftcircuit.cli import main
+from ftcircuit.cli import build_parser, main
 from ftcircuit.circuit import parse_circuit
 
 
@@ -104,6 +104,17 @@ def test_simulate_exact_matches_oracle(capsys):
     assert data["method"] == "exact"
 
 
+@pytest.mark.parametrize("method", ["exact", "monte_carlo"])
+@pytest.mark.parametrize("fraction", ["1.5", "0", "-0.1"])
+def test_simulate_rejects_delta_threshold_outside_unit_interval(
+        capsys, method, fraction):
+    code, out, err = run_cli(capsys, "simulate", "--n", "5", "--eps-p",
+                             "0.005", "--method", method,
+                             "--delta-threshold", fraction)
+    assert (code, out) == (1, "")
+    assert "failure threshold fraction must be in (0, 1]" in err
+
+
 def test_simulate_deterministic_bytes(capsys):
     args = ["simulate", "--n", "5", "--depth", "2", "--eps-p", "0.005",
             "--delta", "0.058", "--method", "monte_carlo",
@@ -120,6 +131,13 @@ def test_chi_command(capsys):
     data = json.loads(out)
     assert 0.25 <= data["chi"] <= 0.6
     assert len(data["points"]) == 4
+
+
+def test_chi_rejects_unparsable_n_range(capsys):
+    code, out, err = run_cli(capsys, "chi", "--n-range", "abc")
+    assert (code, out) == (1, "")
+    assert err == ("error: bad n range: 'abc' "
+                   "(want comma-separated odd code sizes)\n")
 
 
 def test_chi_formula(capsys):
@@ -159,6 +177,14 @@ def test_phase_command(capsys):
     assert lines[1] == "axis1,axis2,eta_exact,eta_asymptotic,regime"
     assert len(lines) == 11
     assert any(line.endswith("FT") for line in lines[2:])
+
+
+def test_phase_without_eps_l_is_an_error(capsys):
+    code, out, err = run_cli(
+        capsys, "phase", "--tail", "pareto",
+        "--axis1", "eps_p=0.005:0.006:2", "--axis2", "w_p=1:10:2")
+    assert (code, out) == (1, "")
+    assert err == "error: eps_l must be fixed or a grid axis\n"
 
 
 def test_phase_rejects_bad_axis(capsys):
@@ -314,3 +340,48 @@ def test_readme_examples_run(capsys, tmp_path, monkeypatch):
             code = exc.code
         capsys.readouterr()
         assert code == 0, line
+
+
+ENGINE_DEFAULTS = {"method": "auto", "formula": False,
+                   "wiring": "offset-doubling", "samples": 1_000_000,
+                   "seed": 0}
+TAIL_DEFAULTS = {"wp_ratio": 1.0, "gamma": 2.0, "delta": "optimal",
+                 "chi": 0.47}
+
+# each command's minimal argv and the dests and defaults it parses to,
+# beside those every command shares
+OPTION_CONTRACT = [
+    (["analyze", "--eps-p", "0.005"], {"eps_p": 0.005}),
+    (["threshold"], {}),
+    (["chi"], {"eps_p": 0.005, "delta": "optimal", "n_range": "5,7,9,11,13",
+               "csv": None, **ENGINE_DEFAULTS}),
+    (["build", "--n", "3"],
+     {"n": 3, "netlist": None, "wiring": "offset-doubling"}),
+    (["simulate", "--n", "5", "--eps-p", "0.005"],
+     {"n": 5, "eps_p": 0.005, "delta": 0.058, "delta_threshold": None,
+      "block": "gadget", **ENGINE_DEFAULTS}),
+    (["overhead", "--tail", "exponential", "--eps-l", "1e-10"],
+     {"tail": "exponential", "eps_l": 1e-10, "eps_p": 0.005,
+      **TAIL_DEFAULTS}),
+    (["phase", "--tail", "pareto", "--axis1", "eps_p=0.005:0.006:2",
+      "--axis2", "eps_l=1e-20:1e-15:2"],
+     {"tail": "pareto", "axis1": "eps_p=0.005:0.006:2",
+      "axis2": "eps_l=1e-20:1e-15:2", "eps_p": None, "eps_l": None,
+      "contour": None, **TAIL_DEFAULTS}),
+]
+
+
+@pytest.mark.parametrize("argv,want", OPTION_CONTRACT,
+                         ids=[argv[0] for argv, _ in OPTION_CONTRACT])
+def test_option_contract(capsys, argv, want):
+    # each command's dests and defaults, which the metadata block echoes
+    args = vars(build_parser().parse_args(argv))
+    del args["func"]
+    assert args == {"command": argv[0], "depth": 2, "output": None,
+                    "config": None, **want}
+    # every option given in the minimal argv is required
+    for i in range(1, len(argv), 2):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv[:i] + argv[i + 2:])
+        assert exc.value.code == 2
+        assert f"required: {argv[i]}" in capsys.readouterr().err

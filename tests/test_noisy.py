@@ -110,6 +110,23 @@ def test_exact_vs_monte_carlo():
     assert est.ci_low <= exact_tail <= est.ci_high
 
 
+@pytest.mark.parametrize("fraction", [1.5, 0.0, -0.1])
+def test_failure_threshold_fraction_outside_unit_interval(fraction):
+    p = FtParams(5, 2, 0.005, 0.058)
+    match = r"failure threshold fraction must be in \(0, 1\]"
+    with pytest.raises(ValueError, match=match):
+        failure_threshold(5, fraction)
+    with pytest.raises(ValueError, match=match):
+        circuit_logical_error(p, method="exact", delta_threshold=fraction)
+    with pytest.raises(ValueError, match=match):
+        monte_carlo_logical_error(gadget_network(p), fraction,
+                                  samples=20_000, seed=0)
+    # a fraction of 1 fails only when all n wires are wrong; None is the
+    # majority
+    assert failure_threshold(5, 1.0) == 5
+    assert failure_threshold(5, None) == 3
+
+
 def test_monte_carlo_deterministic():
     p = FtParams(5, 2, 0.005, 0.058)
     net = gadget_network(p)

@@ -262,6 +262,14 @@ def test_phase_grid_gamma_axis_needs_pareto():
                            [1e-20, 1e-10], {"eps_p": 0.005, "chi": 0.47})
 
 
+def test_phase_grid_needs_eps_l(monkeypatch):
+    monkeypatch.setattr(analytic, "fixed_points", None)  # no cell is reached
+    with pytest.raises(ValueError,
+                       match="eps_l must be fixed or a grid axis"):
+        phase_grid(TailModel(PARETO), "eps_p", [0.005, 0.006], "w_p",
+                   [1.0, 10.0], {"chi": 0.47})
+
+
 def test_phase_grid_fixed_delta_matches_overhead_ratio():
     model = TailModel(EXPONENTIAL, w_p=1.0)
     grid = phase_grid(model, "eps_p", [0.003, 0.005], "eps_l",
