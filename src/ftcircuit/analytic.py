@@ -100,11 +100,6 @@ def stage_error_depth2_closed_form(eps_p: float, delta: float) -> float:
     return 1.0 - eps_p + g * inner * inner
 
 
-def _is_optimal(delta) -> bool:
-    """Whether a delta spec asks for the optimal fiducial rate."""
-    return delta is None or delta == "optimal"
-
-
 @dataclass(frozen=True)
 class OperatingPoint:
     """A fiducial rate delta at (depth, eps_p) that the stage amplifies,
@@ -137,7 +132,7 @@ class AmplificationWindow:
         window does not exist or f(delta) >= delta, which holds exactly
         outside the fixed points."""
         depth, eps_p = self.depth, self.eps_p
-        if _is_optimal(delta):
+        if delta is None or delta == "optimal":
             if not self.exists:
                 raise ValueError(f"eps_p={eps_p} is at or above the "
                                  f"depth-{depth} pseudothreshold")
@@ -285,14 +280,6 @@ def pseudothreshold(depth: int) -> float:
 def optimal_fiducial(depth: int, eps_p: float) -> float:
     """The delta of the optimal operating point (AmplificationWindow.point)."""
     return fixed_points(depth, eps_p).point().delta
-
-
-def resolve_delta(depth: int, eps_p: float, delta) -> float:
-    """delta as a float, in or out of the amplification window; "optimal"
-    (or None) selects optimal_fiducial."""
-    if _is_optimal(delta):
-        return optimal_fiducial(depth, eps_p)
-    return float(delta)
 
 
 def failure_threshold(n: int, delta: float | None) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .analytic import resolve_delta
+from .analytic import fixed_points
 from .noisy import circuit_logical_error
 from .numerics import ols_fit
 from .transform import FtParams, WIRING_OFFSET_DOUBLING
@@ -44,14 +44,6 @@ class ChiEstimate:
     ci_high: float
     circuit_fit: SlopeFit
     formula_fit: SlopeFit
-
-    @property
-    def circuit_slope(self) -> float:
-        return self.circuit_fit.slope
-
-    @property
-    def formula_slope(self) -> float:
-        return self.formula_fit.slope
 
 
 def fit_effective_slope(points) -> SlopeFit:
@@ -85,9 +77,10 @@ def estimate_chi(depth: int, eps_p: float, delta="optimal",
     bundle with i.i.d. Bernoulli(delta) wrong wires; failure is a
     majority-decode error.  The reference slope is the analytic binomial
     law with the matching per-wire tree error rate.  variant "formula"
-    measures the fan-out-1 expansion instead (chi = 1 check).
+    measures the fan-out-1 expansion instead (chi = 1 check).  delta is
+    resolved by AmplificationWindow.point, so it must lie in the window.
     """
-    d = resolve_delta(depth, eps_p, delta)
+    d = fixed_points(depth, eps_p).point(delta).delta
     ns = sorted(set(int(n) for n in n_range))
     if any(n % 2 == 0 for n in ns):
         raise ValueError("n_range must contain odd code sizes")

@@ -92,11 +92,9 @@ class Circuit:
 
     def __post_init__(self):
         if not self.outputs:
-            object.__setattr__(self, "outputs", self._sink_wires())
-
-    def _sink_wires(self) -> tuple[str, ...]:
-        used = {w for g in self.gates for w in g.inputs}
-        return tuple(g.name for g in self.gates if g.name not in used)
+            used = {w for g in self.gates for w in g.inputs}
+            object.__setattr__(self, "outputs", tuple(
+                g.name for g in self.gates if g.name not in used))
 
     @cached_property
     def depths(self) -> dict[str, int]:
@@ -106,9 +104,7 @@ class Circuit:
         """
         depth: dict[str, int] = {w: 0 for w in self.inputs}
         consumers: dict[str, list[Gate]] = {}
-        unresolved: dict[str, int] = {}
-        for g in self.gates:
-            unresolved[g.name] = 0
+        unresolved = {g.name: 0 for g in self.gates}
         for g in self.gates:
             for w in g.inputs:
                 if w not in depth:
@@ -135,7 +131,8 @@ class Circuit:
         return tuple(sorted(self.gates, key=lambda g: d[g.name]))
 
     def validate(self) -> list[str]:
-        """Check the DAG invariants; returns a list of violations (empty = valid)."""
+        """Check the DAG invariants; returns a list of violations (empty =
+        valid).  The cycle check runs only on an otherwise valid circuit."""
         problems = []
         seen: set[str] = set()
         for w in self.inputs:
@@ -157,10 +154,11 @@ class Circuit:
         for w in self.outputs:
             if w not in seen:
                 problems.append(f"undeclared output wire: {w}")
-        try:
-            self.depths
-        except CircuitError as exc:
-            problems.append(str(exc))
+        if not problems:
+            try:
+                self.depths
+            except CircuitError as exc:
+                problems.append(str(exc))
         return problems
 
     def check_valid(self):
@@ -237,16 +235,10 @@ def parse_circuit(text: str, labels: Mapping[str, GateLabel] | None = None) -> C
             declared.add(name)
             gates.append(Gate(name, label, tuple(args)))
 
-    for g in gates:
-        for w in g.inputs:
-            if w not in declared:
-                raise NetlistError(f"reference to undeclared wire: {w}")
-    for w in outputs:
-        if w not in declared:
-            raise NetlistError(f"reference to undeclared wire: {w}")
-
     circuit = Circuit(tuple(inputs), tuple(gates), tuple(outputs))
-    circuit.check_valid()
+    problems = circuit.validate()
+    if problems:
+        raise NetlistError("; ".join(problems))
     return circuit
 
 

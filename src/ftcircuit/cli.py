@@ -45,14 +45,8 @@ def _dump_csv(meta: dict, header: list[str], rows, output: str | None):
     buf.write("# " + json.dumps(meta, sort_keys=True) + "\n")
     buf.write(",".join(header) + "\n")
     for row in rows:
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
+        buf.write(",".join(map(str, row)) + "\n")
     _write(buf.getvalue(), output)
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def _parse_n_range(spec: str) -> tuple[int, ...]:
@@ -99,8 +93,8 @@ def cmd_chi(args) -> dict:
     return {
         "chi": est.chi,
         "chi_ci": [est.ci_low, est.ci_high],
-        "circuit_slope": est.circuit_slope,
-        "formula_slope": est.formula_slope,
+        "circuit_slope": est.circuit_fit.slope,
+        "formula_slope": est.formula_fit.slope,
         "r_squared": est.circuit_fit.r_squared,
         "points": [list(r) for r in rows],
     }
@@ -169,6 +163,10 @@ def cmd_phase(args):
              "eps_p": args.eps_p, "eps_l": args.eps_l}
     fixed = {k: v for k, v in fixed.items() if v is not None}
     grid = resource.phase_grid(model, axis1, values1, axis2, values2, fixed)
+    # a w_p or gamma axis replaces the model's value; the metadata omits it
+    for axis, dest in (("w_p", "wp_ratio"), ("gamma", "gamma")):
+        if axis in (axis1, axis2):
+            setattr(args, dest, None)
     rows = []
     for i, v1 in enumerate(grid.values1):
         for j, v2 in enumerate(grid.values2):
@@ -183,12 +181,12 @@ def cmd_phase(args):
 
 
 class _CommandParser(argparse.ArgumentParser):
-    """One command's parser.  When --config names a JSON file, the
-    command's arguments are parsed again into a namespace that starts
-    from the file's values for the keys the command knows (string values
-    converted by the option's type, as argparse converts string
+    """One command's parser.  When --config names a file holding a JSON
+    object, the command's arguments are parsed again into a namespace
+    that starts from its values for the keys the command knows (string
+    values converted by the option's type, as argparse converts string
     defaults), so explicit flags win; the parser itself is left as it
-    was."""
+    was.  Any other JSON value is a usage error."""
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)
@@ -196,6 +194,9 @@ class _CommandParser(argparse.ArgumentParser):
             return namespace, extras
         with open(namespace.config) as fh:
             config = json.load(fh)
+        if not isinstance(config, dict):
+            self.error(f"--config {namespace.config}: want a JSON object, "
+                       f"got {type(config).__name__}")
         start = argparse.Namespace()
         for action in self._actions:
             if action.dest in config and hasattr(namespace, action.dest):

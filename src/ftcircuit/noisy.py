@@ -75,8 +75,8 @@ class ErrorEstimate:
         }
 
 
-def exact_estimate(p: float, method: str = "exact") -> ErrorEstimate:
-    return ErrorEstimate(p, p, p, method)
+def exact_estimate(p: float) -> ErrorEstimate:
+    return ErrorEstimate(p, p, p, "exact")
 
 
 @dataclass(frozen=True)
@@ -618,8 +618,8 @@ def circuit_logical_error(params: FtParams, method: str = "auto",
 
     variant "circuit" is the width-n construction; "formula" the
     fan-out-1 tree expansion (independent wires, binomial law).  method
-    "auto" uses an exact engine wherever one serves the block (the ring
-    engine at any n, the 2^n engine up to its cap), else Monte Carlo.
+    "auto" takes the exact engine that exact_stage_error picks and falls
+    back to Monte Carlo where it raises ExactEngineError.
     """
     threshold = failure_threshold(params.n, delta_threshold)
     if variant == "formula":
@@ -627,14 +627,15 @@ def circuit_logical_error(params: FtParams, method: str = "auto",
         return exact_estimate(tail_probability(dist, threshold))
     if variant != "circuit":
         raise ValueError(f"unknown variant: {variant}")
-    if method == "auto":
-        exact = (params.n <= EXACT_ENGINE_CAP
-                 or _ring_offsets(params, wiring, 1) is not None)
-        method = "exact" if exact else "monte_carlo"
-    if method == "exact":
-        dist = exact_stage_error(params, block, wiring)
-        return exact_estimate(tail_probability(dist, threshold))
-    if method != "monte_carlo":
+    if method in ("auto", "exact"):
+        try:
+            dist = exact_stage_error(params, block, wiring)
+        except ExactEngineError:
+            if method == "exact":
+                raise
+        else:
+            return exact_estimate(tail_probability(dist, threshold))
+    elif method != "monte_carlo":
         raise ValueError(f"unknown method: {method}")
     net = gadget_network(params, wiring, block)
     return monte_carlo_logical_error(net, delta_threshold, samples, seed)

@@ -27,9 +27,6 @@ REGIME_NON_FT = "non-FT"
 REGIME_MARGINAL = "marginal"
 REGIME_INVALID = "invalid"
 
-# reference logical error rate of a contemporary CMOS processor gate
-PRESET_TARGETS = {"modern-cmos": 3e-21}
-
 
 @dataclass(frozen=True)
 class TailModel:
@@ -207,20 +204,24 @@ def phase_grid(t: TailModel, axis1: str, values1, axis2: str, values2,
     """Evaluate eta over a grid of two of {eps_p, eps_l, w_p, gamma}.
 
     fixed supplies the rest (eps_p, eps_l, delta, depth, chi; a w_p or
-    gamma there overrides the model's); eps_l must be fixed or an axis,
-    and delta may be "optimal".  Cells where the amplification window of
-    eps_p does not exist, or eps_l >= eps_p, are marked invalid with
-    eta = nan.
+    gamma there overrides the model's) and may not hold an axis; eps_l
+    must be fixed or an axis, and delta may be "optimal".  Cells where
+    the amplification window of eps_p does not exist, or eps_l >= eps_p,
+    are marked invalid with eta = nan.
     """
     for axis in (axis1, axis2):
         if axis not in GRID_AXES:
             raise ValueError(f"unknown grid axis: {axis}")
+        if axis in fixed:
+            raise ValueError(f"{axis} is a grid axis and cannot be fixed")
     if axis1 == axis2:
         raise ValueError("grid axes must differ")
     if "gamma" in (axis1, axis2) and t.kind != PARETO:
         raise ValueError("the gamma axis applies to the pareto tail only")
     if "eps_l" not in (axis1, axis2, *fixed):
         raise ValueError("eps_l must be fixed or a grid axis")
+    values1 = tuple(float(v) for v in values1)
+    values2 = tuple(float(v) for v in values2)
     depth = int(fixed.get("depth", 2))
     chi = float(fixed.get("chi", 1.0))
     delta = fixed.get("delta", "optimal")
@@ -252,8 +253,7 @@ def phase_grid(t: TailModel, axis1: str, values1, axis2: str, values2,
                            for row in cells)
     regime = tuple(tuple(r.regime for r in row) for row in cells)
     contour = _extract_contour(values1, values2, eta_exact)
-    return PhaseGrid(axis1, axis2, tuple(float(v) for v in values1),
-                     tuple(float(v) for v in values2), eta_exact,
+    return PhaseGrid(axis1, axis2, values1, values2, eta_exact,
                      eta_asymptotic, regime, tuple(contour))
 
 
@@ -273,7 +273,7 @@ def _extract_contour(values1, values2, grid) -> list[tuple[float, float]]:
             points.append((x, fixed_coord) if axis_first else (fixed_coord, x))
 
     for i, v1 in enumerate(values1):
-        crossings(list(values2), list(grid[i]), v1, axis_first=False)
+        crossings(values2, grid[i], v1, axis_first=False)
     for j, v2 in enumerate(values2):
-        crossings(list(values1), [row[j] for row in grid], v2, axis_first=True)
+        crossings(values1, [row[j] for row in grid], v2, axis_first=True)
     return points

@@ -53,6 +53,18 @@ def test_parse_errors_carry_line_numbers():
         parse_circuit("in a\ng1 NAND a a a\n")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("in a\ng1 NAND a zz\nout g1\n", "undeclared wire: zz (input of g1)"),
+    ("in a\ng1 NAND a a\nout zz\n", "undeclared output wire: zz"),
+    ("in a\ng1 NAND g2 a\ng2 NAND g1 a\nout g2\n", "circuit is not acyclic"),
+])
+def test_netlist_problems_reported_once(text, message):
+    # the parser raises Circuit.validate's problems, each once
+    with pytest.raises(NetlistError) as exc:
+        parse_circuit(text)
+    assert str(exc.value) == message
+
+
 def test_comments_and_blank_lines_ignored():
     text = "# header\n\nin a  # trailing\nin b\ng1 NAND a b  # gate\nout g1\n"
     assert parse_circuit(text) == parse_circuit(SIMPLE)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from ftcircuit import resource
 from ftcircuit.cli import build_parser, main
 from ftcircuit.circuit import parse_circuit
 
@@ -140,6 +141,14 @@ def test_chi_rejects_unparsable_n_range(capsys):
                    "(want comma-separated odd code sizes)\n")
 
 
+def test_chi_delta_outside_window_is_an_error(capsys):
+    code, out, err = run_cli(capsys, "chi", "--depth", "2", "--eps-p",
+                             "0.005", "--delta", "0.3")
+    assert (code, out) == (1, "")
+    assert err == ("error: delta=0.3 is outside the amplification window; "
+                   "the signal is not amplified\n")
+
+
 def test_chi_formula(capsys):
     code, out, _ = run_cli(capsys, "chi", "--depth", "2", "--formula",
                            "--n-range", "5,7,9,11")
@@ -177,6 +186,65 @@ def test_phase_command(capsys):
     assert lines[1] == "axis1,axis2,eta_exact,eta_asymptotic,regime"
     assert len(lines) == 11
     assert any(line.endswith("FT") for line in lines[2:])
+
+
+def test_phase_contour_fields_are_floats(capsys, tmp_path, monkeypatch):
+    # a :log axis comes from numpy; the contour CSV must still hold plain
+    # numbers, the grid's own contour points
+    grids = []
+    phase_grid = resource.phase_grid
+
+    def recorded(*args):
+        grids.append(phase_grid(*args))
+        return grids[-1]
+
+    monkeypatch.setattr(resource, "phase_grid", recorded)
+    contour = tmp_path / "c.csv"
+    code, _, _ = run_cli(
+        capsys, "phase", "--tail", "pareto", "--gamma", "2",
+        "--wp-ratio", "3e2", "--axis1", "eps_p=0.003:0.008:3",
+        "--axis2", "eps_l=1e-25:1e-15:3:log", "--contour", str(contour))
+    assert code == 0
+    lines = contour.read_text().splitlines()
+    assert lines[1] == "axis1,axis2"
+    rows = [tuple(float(v) for v in line.split(",")) for line in lines[2:]]
+    assert rows and rows == list(grids[0].contour)
+    assert all(type(v) is float for point in grids[0].contour for v in point)
+
+
+@pytest.mark.parametrize("fixed,axis1,axis2", [
+    (["--eps-l", "1e-10"], "eps_p=0.005:0.006:2", "eps_l=1e-20:1e-15:2"),
+    (["--eps-p", "0.005", "--eps-l", "1e-15"], "w_p=1:10:2",
+     "eps_p=0.005:0.006:2"),
+])
+def test_phase_rejects_value_both_fixed_and_on_an_axis(capsys, fixed, axis1,
+                                                       axis2):
+    code, out, err = run_cli(capsys, "phase", "--tail", "pareto", *fixed,
+                             "--axis1", axis1, "--axis2", axis2)
+    assert (code, out) == (1, "")
+    name = axis2.split("=")[0]
+    assert err == f"error: {name} is a grid axis and cannot be fixed\n"
+
+
+def test_phase_rejects_equal_axes(capsys):
+    code, out, err = run_cli(
+        capsys, "phase", "--tail", "pareto", "--eps-l", "1e-15",
+        "--axis1", "eps_p=0.005:0.006:2", "--axis2", "eps_p=0.004:0.006:2")
+    assert (code, out) == (1, "")
+    assert err == "error: grid axes must differ\n"
+
+
+@pytest.mark.parametrize("axis,dropped,kept", [
+    ("w_p=100:300:2", "wp_ratio", "gamma"),
+    ("gamma=1.5:3:2", "gamma", "wp_ratio")])
+def test_phase_metadata_leaves_out_what_an_axis_replaces(capsys, axis,
+                                                         dropped, kept):
+    code, out, _ = run_cli(
+        capsys, "phase", "--tail", "pareto", "--eps-l", "1e-15",
+        "--axis1", "eps_p=0.005:0.006:2", "--axis2", axis)
+    assert code == 0
+    params = json.loads(out.splitlines()[0][2:])["params"]
+    assert dropped not in params and kept in params
 
 
 def test_phase_without_eps_l_is_an_error(capsys):
@@ -275,6 +343,17 @@ def test_config_value_that_does_not_convert_is_a_usage_error(capsys,
         main(["threshold", "--config", str(cfg)])
     assert exc.value.code == 2
     assert "invalid int value: 'abc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", ["3", '["depth"]'])
+def test_config_that_is_not_an_object_is_a_usage_error(capsys, tmp_path,
+                                                       content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        main(["threshold", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "want a JSON object" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["threshold", "--depth", "38"],

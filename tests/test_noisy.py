@@ -17,7 +17,7 @@ from ftcircuit.noisy import (BundleState, ErrorEstimate, ExactEngineError,
                              monte_carlo_logical_error, tail_probability,
                              tree_error_marginals)
 from ftcircuit.transform import FtParams, build_formula_gadget, build_ft_gadget
-from ftcircuit.analytic import resolve_delta
+from ftcircuit.analytic import fixed_points
 from ftcircuit.circuit import NAND
 from ftcircuit.numerics import binom_tail
 
@@ -99,6 +99,20 @@ def test_exact_engine_cap():
         est = circuit_logical_error(FtParams(n, 2, 0.005, 0.058),
                                     method="exact")
         assert est.method == "exact"
+
+
+def test_auto_falls_back_on_exact_engine_error_only(monkeypatch):
+    # the error that sends "auto" to Monte Carlo reaches an "exact" caller
+    with pytest.raises(ExactEngineError, match="Monte Carlo"):
+        circuit_logical_error(FtParams(17, 4, 0.005, 0.104), method="exact")
+
+    def fail(*args):
+        raise CircuitError("not an engine limit")
+
+    # any other failure of the exact engine propagates from "auto"
+    monkeypatch.setattr(noisy, "exact_stage_error", fail)
+    with pytest.raises(CircuitError, match="not an engine limit"):
+        circuit_logical_error(FtParams(5, 2, 0.005, 0.058))
 
 
 def test_exact_vs_monte_carlo():
@@ -503,7 +517,7 @@ def test_ring_engine_matches_bundle_engine(block, wiring, depth, first,
                                            eps_p, delta):
     # the ring engine serves every n from the first whose offsets all lie
     # in [1, n - 1]; wherever it does, it must give the 2^n engine's law
-    delta = resolve_delta(depth, eps_p, delta)
+    delta = fixed_points(depth, eps_p).point(delta).delta
     served = []
     for n in range(1, 16):
         p = FtParams(n, depth, eps_p, delta)
@@ -536,7 +550,7 @@ def test_ring_engine_predicate():
 @pytest.mark.parametrize("n", [17, 21])
 def test_ring_engine_matches_monte_carlo_beyond_cap(n):
     samples = 1_000_000
-    p = FtParams(n, 2, 0.01, resolve_delta(2, 0.01, "optimal"))
+    p = FtParams(n, 2, 0.01, fixed_points(2, 0.01).point().delta)
     tail = tail_probability(exact_stage_error(p), n // 2 + 1)
     est = monte_carlo_logical_error(gadget_network(p), None, samples,
                                     seed=2027)

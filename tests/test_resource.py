@@ -7,7 +7,7 @@ from scipy.special import erfc
 
 from ftcircuit import analytic
 from ftcircuit.numerics import bisect, inverse_erfc
-from ftcircuit.resource import (EXPONENTIAL, GAUSSIAN, PARETO, PRESET_TARGETS,
+from ftcircuit.resource import (EXPONENTIAL, GAUSSIAN, PARETO,
                                 REGIME_FT, REGIME_INVALID, REGIME_MARGINAL,
                                 REGIME_NON_FT, TailModel, asymptotic_overhead,
                                 classify_asymptotic, error_from_signal,
@@ -178,10 +178,6 @@ def test_overhead_ratio_validation():
         overhead_ratio(model, 1e-10, point, 0.0)
     with pytest.raises(ValueError):
         overhead_ratio(model, 0.01, point, 0.47)
-
-
-def test_modern_cmos_preset():
-    assert PRESET_TARGETS["modern-cmos"] == 3e-21
 
 
 def test_phase_grid_pareto_ft_region():
