@@ -135,14 +135,10 @@ class Circuit:
         valid).  The cycle check runs only on an otherwise valid circuit."""
         problems = []
         seen: set[str] = set()
-        for w in self.inputs:
+        for w in (*self.inputs, *(g.name for g in self.gates)):
             if w in seen:
                 problems.append(f"duplicate wire name: {w}")
             seen.add(w)
-        for g in self.gates:
-            if g.name in seen:
-                problems.append(f"duplicate wire name: {g.name}")
-            seen.add(g.name)
         for g in self.gates:
             if len(g.inputs) != g.label.fan_in:
                 problems.append(
@@ -161,10 +157,10 @@ class Circuit:
                 problems.append(str(exc))
         return problems
 
-    def check_valid(self):
+    def check_valid(self, error: type[CircuitError] = CircuitError):
         problems = self.validate()
         if problems:
-            raise CircuitError("; ".join(problems))
+            raise error("; ".join(problems))
 
     def evaluate(self, assignment: Mapping[str, int]) -> dict[str, int]:
         """Noiseless evaluation; returns values of the output wires."""
@@ -236,9 +232,7 @@ def parse_circuit(text: str, labels: Mapping[str, GateLabel] | None = None) -> C
             gates.append(Gate(name, label, tuple(args)))
 
     circuit = Circuit(tuple(inputs), tuple(gates), tuple(outputs))
-    problems = circuit.validate()
-    if problems:
-        raise NetlistError("; ".join(problems))
+    circuit.check_valid(NetlistError)
     return circuit
 
 

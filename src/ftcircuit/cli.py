@@ -149,10 +149,8 @@ def _parse_axis(spec: str) -> tuple[str, list[float]]:
                          "(want name=lo:hi:steps[:log], steps >= 1)")
     if parts[3:]:
         import numpy as np
-        values = list(np.geomspace(lo, hi, steps))
-    else:
-        values = [lo + (hi - lo) * i / max(steps - 1, 1) for i in range(steps)]
-    return name, values
+        return name, list(np.geomspace(lo, hi, steps))
+    return name, [lo + (hi - lo) * i / max(steps - 1, 1) for i in range(steps)]
 
 
 def cmd_phase(args):
@@ -186,17 +184,20 @@ class _CommandParser(argparse.ArgumentParser):
     that starts from its values for the keys the command knows (string
     values converted by the option's type, as argparse converts string
     defaults), so explicit flags win; the parser itself is left as it
-    was.  Any other JSON value is a usage error."""
+    was.  Any other file is a usage error."""
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)
         if namespace.config is None:
             return namespace, extras
-        with open(namespace.config) as fh:
-            config = json.load(fh)
-        if not isinstance(config, dict):
-            self.error(f"--config {namespace.config}: want a JSON object, "
-                       f"got {type(config).__name__}")
+        try:
+            with open(namespace.config) as fh:
+                config = json.load(fh)
+            if not isinstance(config, dict):
+                raise ValueError("want a JSON object, got "
+                                 f"{type(config).__name__}")
+        except (OSError, ValueError) as exc:
+            self.error(f"--config {namespace.config}: {exc}")
         start = argparse.Namespace()
         for action in self._actions:
             if action.dest in config and hasattr(namespace, action.dest):
@@ -279,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-threshold", type=float,
                    help="failure threshold fraction in (0, 1]; "
                    "default majority")
-    p.add_argument("--block", default="gadget", choices=["gadget", "ec"])
+    p.add_argument("--block", default="gadget", choices=noisy.BLOCKS)
 
     p = command("overhead", _json_command(cmd_overhead), tail,
                 help="resource overhead eta at a point")

@@ -99,13 +99,8 @@ class LayeredNoisyNetwork:
 
     def is_tree(self) -> bool:
         """True when every wire feeds at most one gate (fan-out <= 1)."""
-        fan_out: dict[str, int] = {}
-        for g in self.circuit.gates:
-            for w in g.inputs:
-                fan_out[w] = fan_out.get(w, 0) + 1
-                if fan_out[w] > 1:
-                    return False
-        return True
+        reads = [w for g in self.circuit.gates for w in g.inputs]
+        return len(reads) == len(set(reads))
 
 
 def induce_network(circuit: Circuit, eps_p: float, input_error: float,
@@ -375,15 +370,25 @@ def _ring_count_law(n: int, offsets: list[int], eps_p: float,
     return np.ldexp(np.trace(q, axis1=1, axis2=2), e)
 
 
+# a "gadget" is a computation NAND layer and then the EC block, "ec" the
+# EC block alone
+BLOCKS = ("gadget", "ec")
+
+
+def _is_gadget(block: str) -> bool:
+    """The one check of the block kind."""
+    if block not in BLOCKS:
+        raise ValueError(f"unknown block kind: {block}")
+    return block == "gadget"
+
+
 def _block_input_error(params: FtParams, block: str) -> float:
     """Per-wire error of the encoded-0 bundle that the EC block reads:
     delta for a bare "ec" block; for a "gadget", the output of the
     computation layer, whose inputs encode 1 (the NAND worst case)."""
-    if block == "ec":
-        return params.delta
-    if block == "gadget":
+    if _is_gadget(block):
         return computation_error(params.delta, params.eps_p)
-    raise ValueError(f"unknown block kind: {block}")
+    return params.delta
 
 
 def exact_stage_error(params: FtParams, block: str = "gadget",
@@ -461,9 +466,13 @@ def _bernoulli_words(rng: np.random.Generator, p: float,
     """Packed i.i.d. Bernoulli(p) mask over m samples: bit j of word w is
     sample 64w + j, and the bits at or past m are 0.
 
-    Sparse p sets the ones at cumulative geometric(p) gaps.  Dense p
-    compares a uniform U = 0.u1u2... with p = 0.p1p2... bit by bit: at
-    level i a lane still tied with p takes 1 if u_i < p_i and 0 if
+    Sparse p sets the ones at cumulative geometric(p) gaps, drawn as
+    ceil(E / -log1p(-p)) from standard exponentials E: numpy's
+    Generator.geometric inverts so for p < 1/3, so these are its draws and
+    its stream, without its log1p per draw.  One bincount sums the ones of
+    each 32-bit half word, distinct powers of two, exactly in float64.
+    Dense p compares a uniform U = 0.u1u2... with p = 0.p1p2... bit by
+    bit: at level i a lane still tied with p takes 1 if u_i < p_i and 0 if
     u_i > p_i.  One random_raw word resolves 64 lanes; after the first
     levels only words with a tied lane draw, and the loop ends when no
     lane is tied or p has no 1 bits left (a tie then means U >= p).
@@ -473,17 +482,22 @@ def _bernoulli_words(rng: np.random.Generator, p: float,
     if p == 0.0:
         return np.zeros(n_words, dtype=np.uint64)
     if p < _SPARSE_BELOW:
-        hits = np.zeros(64 * n_words, dtype=np.uint8)
         chunk = int(m * p + 6.0 * math.sqrt(m * p)) + 16
+        ones = np.zeros(0, dtype=np.int64)
         last = -1
         while last < m:
             # one gap past m ends the mask; clamping there keeps the
-            # cumsum finite where geometric saturates at 2^63 - 1
-            pos = np.cumsum(np.minimum(rng.geometric(p, chunk), m + 1))
+            # cumsum finite where a gap overflows (p below about 1e-19)
+            with np.errstate(over="ignore"):
+                gaps = np.ceil(rng.standard_exponential(chunk)
+                               / -math.log1p(-p))
+            pos = np.cumsum(np.minimum(gaps, m + 1).astype(np.int64))
             pos += last
             last = int(pos[-1])
-            hits[pos[:np.searchsorted(pos, m)]] = 1
-        return np.packbits(hits, bitorder="little").view("<u8")
+            ones = np.concatenate((ones, pos[:np.searchsorted(pos, m)]))
+        return np.bincount(ones >> 5,
+                           np.ldexp(1.0, (ones & 31).astype(np.int32)),
+                           2 * n_words).astype("<u4").view("<u8")
     words = np.zeros(n_words, dtype=np.uint64)
     raw = rng.bit_generator.random_raw
     tied = _lanes(m)
@@ -565,6 +579,9 @@ def monte_carlo_logical_error(net: LayeredNoisyNetwork,
     rng = np.random.default_rng(seed)
     ref = net.reference_values
     threshold = failure_threshold(len(circuit.outputs), delta_threshold)
+    # a wire that is not an output is dropped after its last reader
+    last_reader = {w: g for g in order for w in g.inputs
+                   if w not in circuit.outputs}
     failures = 0
     remaining = samples
     while remaining > 0:
@@ -579,6 +596,8 @@ def monte_carlo_logical_error(net: LayeredNoisyNetwork,
             out = ~(a & b)
             out ^= _bernoulli_words(rng, net.eps_p, m)
             values[g.name] = out
+            for w in {w for w in g.inputs if last_reader.get(w) is g}:
+                del values[w]
         wrong = [~values[w] if ref[w] else values[w]
                  for w in circuit.outputs]
         # the padding lanes past m stay out of the count
@@ -594,16 +613,14 @@ def gadget_network(params: FtParams, wiring: str = WIRING_OFFSET_DOUBLING,
                    block: str = "gadget") -> LayeredNoisyNetwork:
     """The noisy network of one gadget (or bare EC block) with the
     worst-case reference: gadget input bundles encode 1, EC inputs 0."""
-    if block == "gadget":
+    if _is_gadget(block):
         gadget = transform.build_ft_gadget(transform.NAND, params, wiring)
         circuit = gadget.circuit
         reference = {w: 1 for w in circuit.inputs}
-    elif block == "ec":
+    else:
         circuit = transform.build_majority_ec_circuit(params.n, params.depth,
                                                       wiring)
         reference = {w: 0 for w in circuit.inputs}
-    else:
-        raise ValueError(f"unknown block kind: {block}")
     return induce_network(circuit, params.eps_p, params.delta, reference)
 
 

@@ -28,9 +28,7 @@ def log_binom_tail(n: int, p: float, k: int) -> float:
     """
     if k <= 0:
         return 0.0
-    if k > n:
-        return -math.inf
-    if p <= 0.0:
+    if k > n or p <= 0.0:
         return -math.inf
     if p >= 1.0:
         return 0.0

@@ -345,6 +345,21 @@ def test_config_value_that_does_not_convert_is_a_usage_error(capsys,
     assert "invalid int value: 'abc'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", ["{", None])
+def test_config_that_cannot_be_read_is_a_usage_error(capsys, tmp_path,
+                                                     content):
+    # a file that is not JSON, and a path that does not exist
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        main(["threshold", "--config", str(cfg)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"--config {cfg}: " in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("content", ["3", '["depth"]'])
 def test_config_that_is_not_an_object_is_a_usage_error(capsys, tmp_path,
                                                        content):

@@ -1,3 +1,5 @@
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -213,6 +215,33 @@ def test_bernoulli_words_law(p):
         assert (abs(lanes - p) <= 5 * np.sqrt(p * (1 - p) / lane_n)).all()
 
 
+def _geometric_mask(rng, p, m):
+    """The sparse mask as cumulative rng.geometric(p) gaps, clamped at
+    m + 1 and packed by np.packbits: the construction whose stream the
+    sampler keeps."""
+    hits = np.zeros(64 * ((m + 63) >> 6), dtype=np.uint8)
+    chunk = int(m * p + 6.0 * math.sqrt(m * p)) + 16
+    last = -1
+    while last < m:
+        pos = np.cumsum(np.minimum(rng.geometric(p, chunk), m + 1)) + last
+        last = int(pos[-1])
+        hits[pos[:np.searchsorted(pos, m)]] = 1
+    return np.packbits(hits, bitorder="little").view("<u8")
+
+
+@pytest.mark.parametrize("p", [5e-324, 1e-20, 1e-6, 0.01,
+                               np.nextafter(noisy._SPARSE_BELOW, 0.0)])
+@pytest.mark.parametrize("m", [10_007, 1 << 20, (1 << 22) + 37])
+def test_sparse_masks_keep_the_geometric_stream(p, m):
+    for seed in range(3):
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            words = noisy._bernoulli_words(rng, p, m)
+        assert np.array_equal(words, _geometric_mask(oracle, p, m)), seed
+        assert rng.bit_generator.state == oracle.bit_generator.state, seed
+
+
 @pytest.mark.parametrize("count", [1, 3, 7, 8, 21])
 def test_at_least_counts_like_a_loop(count):
     rng = np.random.default_rng(count)
@@ -237,6 +266,63 @@ def test_monte_carlo_matches_exact_whole_law(n, depth, delta):
         tail = tail_probability(dist, k)
         assert abs(est.mean - tail) <= 5 * np.sqrt(tail * (1 - tail)
                                                    / samples), k
+
+
+def _enumerated_failure(net, threshold):
+    """Pr[at least threshold outputs wrong], summed over every flip
+    pattern of the inputs and gates of net."""
+    c, ref = net.circuit, net.reference_values
+    rates = [net.input_error] * len(c.inputs) + [net.eps_p] * len(c.gates)
+    total = 0.0
+    for flips in itertools.product((0, 1), repeat=len(rates)):
+        values = {w: ref[w] ^ f for w, f in zip(c.inputs, flips)}
+        gate_flips = dict(zip((g.name for g in c.topological_order),
+                              flips[len(c.inputs):]))
+        for g in c.topological_order:
+            values[g.name] = (g.label.apply([values[w] for w in g.inputs])
+                              ^ gate_flips[g.name])
+        if sum(values[w] != ref[w] for w in c.outputs) >= threshold:
+            total += math.prod(r if f else 1.0 - r
+                               for r, f in zip(rates, flips))
+    return total
+
+
+@pytest.mark.parametrize("netlist", [
+    # an output wire that also feeds a later gate
+    "in a\nin b\ng1 NAND a b\ng2 NAND g1 a\nout g1\nout g2\n",
+    # a gate that reads one wire twice
+    "in a\nin b\ng1 NAND a a\ng2 NAND g1 b\nout g2\n",
+    # an input that is also an output
+    "in a\nin b\ng1 NAND a b\nout a\nout g1\nout b\n",
+    # wires read by gates in two different layers
+    "in a\nin b\ng1 NAND a b\ng2 NAND g1 b\ng3 NAND g2 g1\nout g3\n",
+])
+@pytest.mark.parametrize("reference", [(1, 1), (0, 1)])
+def test_monte_carlo_frees_wires_after_their_last_reader(netlist, reference):
+    net = induce_network(parse_circuit(netlist), 0.05, 0.1,
+                         dict(zip("ab", reference)))
+    samples = 200_000
+    est = monte_carlo_logical_error(net, None, samples, seed=11)
+    exact = _enumerated_failure(
+        net, failure_threshold(len(net.circuit.outputs), None))
+    assert abs(est.mean - exact) <= 5 * math.sqrt(exact * (1 - exact)
+                                                  / samples)
+
+
+def test_unknown_block_kind_is_one_error_before_any_sampling(monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled before the block kind was checked")
+
+    monkeypatch.setattr(noisy, "_bernoulli_words", no_sampling)
+    messages = set()
+    for kwargs in ({"method": "exact"}, {"method": "monte_carlo"},
+                   {"variant": "formula"}):
+        with pytest.raises(ValueError) as exc:
+            circuit_logical_error(FtParams(5, 2, 0.005, 0.058),
+                                  block="bogus", samples=10_000, **kwargs)
+        assert type(exc.value) is ValueError
+        messages.add(str(exc.value))
+    assert messages == {"unknown block kind: bogus"}
 
 
 def test_formula_variant_matches_binomial():
