@@ -11,8 +11,8 @@ from .transform import (Bundle, FtCircuit, FtGadget, FtParams,
                         build_ft_gadget, build_majority_ec_circuit,
                         build_majority_ec_formula, decode_bits, encode_bit)
 from .analytic import (AmplificationWindow, CodeSizeResult, OperatingPoint,
-                       fixed_points, logical_error_formula, optimal_fiducial,
-                       pseudothreshold, required_code_size, stage_error)
+                       fixed_points, optimal_fiducial, pseudothreshold,
+                       required_code_size, stage_error)
 from .noisy import (ErrorEstimate, LayeredNoisyNetwork, circuit_logical_error,
                     exact_stage_error, induce_network,
                     monte_carlo_logical_error)
@@ -30,8 +30,8 @@ __all__ = [
     "build_formula_gadget", "build_ft_gadget", "build_majority_ec_circuit",
     "build_majority_ec_formula", "decode_bits", "encode_bit",
     "AmplificationWindow", "CodeSizeResult", "OperatingPoint", "fixed_points",
-    "logical_error_formula", "optimal_fiducial",
-    "pseudothreshold", "required_code_size", "stage_error",
+    "optimal_fiducial", "pseudothreshold", "required_code_size",
+    "stage_error",
     "ErrorEstimate", "LayeredNoisyNetwork", "circuit_logical_error",
     "exact_stage_error", "induce_network", "monte_carlo_logical_error",
     "ChiEstimate", "ConstructionFailure", "SlopeFit", "estimate_chi",

@@ -15,7 +15,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .numerics import bisect, binom_tail, golden_min, log_binom_tail
+from .numerics import bisect, golden_min, log_binom_tail
 
 
 def check_depth(depth: int):
@@ -292,21 +292,6 @@ def failure_threshold(n: int, delta: float | None) -> int:
         raise ValueError(f"failure threshold fraction must be in (0, 1], "
                          f"got {delta}")
     return max(math.ceil(delta * n), 1)
-
-
-def logical_error_formula(n: int,
-                          point: OperatingPoint) -> tuple[float, float]:
-    """Logical error of the formula gadget at code size n.
-
-    Returns (exact, normal): the exact binomial tail
-    Pr[Binomial(n, f) >= ceil(delta n)] and the paper-style normal
-    approximation Pr[Z >= sqrt(n)(delta - f)/sqrt(f(1-f))].
-    """
-    f, delta = point.f, point.delta
-    exact = binom_tail(n, f, failure_threshold(n, delta))
-    z = math.sqrt(n) * (delta - f) / math.sqrt(f * (1.0 - f))
-    normal = 0.5 * math.erfc(z / math.sqrt(2.0))
-    return exact, normal
 
 
 def log10_logical_error(n: int, point: OperatingPoint) -> float:

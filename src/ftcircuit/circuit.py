@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Mapping, Sequence
 
 
@@ -100,28 +101,24 @@ class Circuit:
     def depths(self) -> dict[str, int]:
         """ASAP depth per wire: inputs at 0, gates at 1 + max(parent depth).
 
-        Raises CircuitError if the graph has a cycle.
+        Raises CircuitError on a duplicate or undeclared wire or a cycle.
         """
         depth: dict[str, int] = {w: 0 for w in self.inputs}
-        consumers: dict[str, list[Gate]] = {}
-        unresolved = {g.name: 0 for g in self.gates}
+        gates = {g.name: g for g in self.gates}
+        if len({*depth, *gates}) != len(self.inputs) + len(self.gates):
+            raise CircuitError("duplicate wire name")
         for g in self.gates:
             for w in g.inputs:
-                if w not in depth:
-                    if w not in unresolved:
-                        raise CircuitError(f"undeclared wire: {w}")
-                    unresolved[g.name] += 1
-                    consumers.setdefault(w, []).append(g)
-        ready = [g for g in self.gates if unresolved[g.name] == 0]
-        while ready:
-            gate = ready.pop()
-            depth[gate.name] = 1 + max((depth[w] for w in gate.inputs), default=0)
-            for h in consumers.get(gate.name, ()):
-                unresolved[h.name] -= 1
-                if unresolved[h.name] == 0:
-                    ready.append(h)
-        if len(depth) != len(self.inputs) + len(self.gates):
-            raise CircuitError("circuit is not acyclic")
+                if w not in depth and w not in gates:
+                    raise CircuitError(f"undeclared wire: {w}")
+        sorter = TopologicalSorter(
+            {g.name: [w for w in g.inputs if w in gates] for g in self.gates})
+        try:
+            for name in sorter.static_order():
+                depth[name] = 1 + max((depth[w] for w in gates[name].inputs),
+                                      default=0)
+        except CycleError:
+            raise CircuitError("circuit is not acyclic") from None
         return depth
 
     @cached_property

@@ -19,7 +19,8 @@ from .circuit import parse_circuit
 
 def _metadata(args: argparse.Namespace, command: str) -> dict:
     params = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("func", "config", "output") and v is not None}
+              if k not in ("func", "command", "config", "output")
+              and v is not None}
     return {"command": command, "version": __version__, "params": params}
 
 

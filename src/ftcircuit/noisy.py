@@ -34,7 +34,7 @@ from .analytic import (check_rate, computation_error, ec_error,
                        failure_threshold)
 from .circuit import Circuit, CircuitError
 from . import transform
-from .numerics import binom_pmf, wilson_interval
+from .numerics import binom_tail, wilson_interval
 from .transform import FtParams, WIRING_OFFSET_DOUBLING, require_nand
 
 EXACT_ENGINE_CAP = 15
@@ -424,14 +424,6 @@ def exact_stage_error(params: FtParams, block: str = "gadget",
     return state.wrong_count_distribution((stages - 1) % 2)
 
 
-def formula_wrong_count_distribution(params: FtParams,
-                                     block: str = "gadget") -> np.ndarray:
-    """Wrong-count law of the fan-out-1 (tree) variant of a block, where
-    every wire is independent: binomial in the per-wire error."""
-    return binom_pmf(params.n, ec_error(params.depth, params.eps_p,
-                                        _block_input_error(params, block)))
-
-
 def tail_probability(dist: np.ndarray, threshold: int) -> float:
     return float(dist[threshold:].sum())
 
@@ -640,8 +632,9 @@ def circuit_logical_error(params: FtParams, method: str = "auto",
     """
     threshold = failure_threshold(params.n, delta_threshold)
     if variant == "formula":
-        dist = formula_wrong_count_distribution(params, block)
-        return exact_estimate(tail_probability(dist, threshold))
+        wire = ec_error(params.depth, params.eps_p,
+                        _block_input_error(params, block))
+        return exact_estimate(binom_tail(params.n, wire, threshold))
     if variant != "circuit":
         raise ValueError(f"unknown variant: {variant}")
     if method in ("auto", "exact"):

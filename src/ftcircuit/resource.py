@@ -204,10 +204,10 @@ def phase_grid(t: TailModel, axis1: str, values1, axis2: str, values2,
     """Evaluate eta over a grid of two of {eps_p, eps_l, w_p, gamma}.
 
     fixed supplies the rest (eps_p, eps_l, delta, depth, chi; a w_p or
-    gamma there overrides the model's) and may not hold an axis; eps_l
-    must be fixed or an axis, and delta may be "optimal".  Cells where
-    the amplification window of eps_p does not exist, or eps_l >= eps_p,
-    are marked invalid with eta = nan.
+    gamma there overrides the model's) and may not hold an axis; eps_p
+    and eps_l must each be fixed or an axis, and delta may be "optimal".
+    Cells where the amplification window of eps_p does not exist, or
+    eps_l >= eps_p, are marked invalid with eta = nan.
     """
     for axis in (axis1, axis2):
         if axis not in GRID_AXES:
@@ -218,8 +218,9 @@ def phase_grid(t: TailModel, axis1: str, values1, axis2: str, values2,
         raise ValueError("grid axes must differ")
     if "gamma" in (axis1, axis2) and t.kind != PARETO:
         raise ValueError("the gamma axis applies to the pareto tail only")
-    if "eps_l" not in (axis1, axis2, *fixed):
-        raise ValueError("eps_l must be fixed or a grid axis")
+    for name in ("eps_p", "eps_l"):
+        if name not in (axis1, axis2, *fixed):
+            raise ValueError(f"{name} must be fixed or a grid axis")
     values1 = tuple(float(v) for v in values1)
     values2 = tuple(float(v) for v in values2)
     depth = int(fixed.get("depth", 2))
@@ -238,7 +239,7 @@ def phase_grid(t: TailModel, axis1: str, values1, axis2: str, values2,
 
     def report(v1, v2) -> OverheadReport:
         cell = {**fixed, axis1: v1, axis2: v2}
-        eps_p, eps_l = float(cell.get("eps_p", 0.005)), float(cell["eps_l"])
+        eps_p, eps_l = float(cell["eps_p"]), float(cell["eps_l"])
         model = replace(t, **{k: float(cell[k]) for k in ("w_p", "gamma")
                               if k in cell})
         if not window(eps_p).exists or eps_l >= eps_p:

@@ -113,8 +113,8 @@ def test_criterion_6_oracle_equivalence():
         p = next(iter(marginals.values()))
         threshold = noisy.failure_threshold(n, 0.058)
         via_circuit = binom_tail(n, p, threshold)
-        via_formula = noisy.tail_probability(
-            noisy.formula_wrong_count_distribution(params), threshold)
+        via_formula = noisy.circuit_logical_error(
+            params, variant="formula", delta_threshold=0.058).mean
         tree_diffs.append(abs(via_circuit - via_formula))
     elapsed = time.perf_counter() - start
     ok = all(agreements) and max(tree_diffs) < 1e-12 and elapsed < 300.0

@@ -6,7 +6,7 @@ import pytest
 from scipy.special import logsumexp
 
 from ftcircuit import analytic
-from ftcircuit.analytic import (fixed_points, logical_error_formula,
+from ftcircuit.analytic import (fixed_points, log10_logical_error,
                                 optimal_fiducial, pseudothreshold,
                                 required_code_size, stage_error,
                                 stage_error_depth2_closed_form)
@@ -239,7 +239,7 @@ def test_code_size_coefficients():
 
 def test_logical_error_n1():
     d = 0.058
-    exact, _ = logical_error_formula(1, fixed_points(2, 0.005).point(d))
+    exact = 10 ** log10_logical_error(1, fixed_points(2, 0.005).point(d))
     assert abs(exact - stage_error(2, 0.005, d)) < 1e-15
 
 
@@ -271,7 +271,7 @@ def test_logical_error_decays_with_n():
     # even though adjacent odd n may tick upward
     checkpoints = [401, 801, 2001, 4001]
     point = fixed_points(2, 0.005).point(0.058)
-    values = [logical_error_formula(n, point)[0] for n in checkpoints]
+    values = [10 ** log10_logical_error(n, point) for n in checkpoints]
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
@@ -292,9 +292,13 @@ def test_logical_error_slope_near_asymptotic_rate():
 
 
 def test_normal_approximation_close_for_large_n():
+    # the paper's normal tail Pr[Z >= sqrt(n)(delta - f)/sqrt(f(1-f))]
+    # is erfc(sqrt(n / coefficient))/2, with the code-size coefficient
+    # 2f(1-f)/(f-delta)^2 of the operating point
     point = fixed_points(2, 0.005).point()
     for n in (201, 401, 801):
-        exact, normal = logical_error_formula(n, point)
+        exact = 10 ** log10_logical_error(n, point)
+        normal = 0.5 * math.erfc(math.sqrt(n / point.coefficient))
         assert 0.2 < normal / exact < 5.0
 
 
@@ -303,7 +307,7 @@ def test_required_code_size_minimal():
     res = required_code_size(1e-10, point)
     assert res.n % 2 == 1
     assert res.eps_l_achieved <= 1e-10
-    worse, _ = logical_error_formula(res.n - 2, point)
+    worse = 10 ** log10_logical_error(res.n - 2, point)
     assert worse > 1e-10
     assert abs(point.coefficient - 279) < 3
 

@@ -65,6 +65,21 @@ def test_netlist_problems_reported_once(text, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("gates,message", [
+    ([("a", ("a", "a"))], "duplicate wire name"),
+    ([("g1", ("a", "a")), ("g1", ("a", "a"))], "duplicate wire name"),
+    ([("g1", ("a", "zz"))], "undeclared wire: zz"),
+    ([("g1", ("g2", "a")), ("g2", ("g1", "a"))], "circuit is not acyclic"),
+])
+def test_depths_of_an_unvalidated_circuit_fail_loudly(gates, message):
+    # a Circuit built without validate still refuses to order its gates
+    c = Circuit(("a",), tuple(Gate(name, NAND, ins) for name, ins in gates),
+                ("a",))
+    with pytest.raises(CircuitError) as exc:
+        c.topological_order
+    assert str(exc.value) == message
+
+
 def test_comments_and_blank_lines_ignored():
     text = "# header\n\nin a  # trailing\nin b\ng1 NAND a b  # gate\nout g1\n"
     assert parse_circuit(text) == parse_circuit(SIMPLE)

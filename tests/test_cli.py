@@ -255,6 +255,33 @@ def test_phase_without_eps_l_is_an_error(capsys):
     assert err == "error: eps_l must be fixed or a grid axis\n"
 
 
+def test_phase_without_eps_p_is_an_error(capsys):
+    code, out, err = run_cli(
+        capsys, "phase", "--tail", "pareto", "--wp-ratio", "300",
+        "--axis1", "w_p=100:300:2", "--axis2", "eps_l=1e-20:1e-15:2:log")
+    assert (code, out) == (1, "")
+    assert err == "error: eps_p must be fixed or a grid axis\n"
+
+
+def test_metadata_names_the_command_once(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "threshold", "--depth", "2")
+    assert code == 0
+    meta = json.loads(out)["meta"]
+    assert meta == {"command": "threshold", "params": {"depth": 2},
+                    "version": meta["version"]}
+    contour = tmp_path / "c.csv"
+    code, out, _ = run_cli(
+        capsys, "phase", "--tail", "pareto", "--eps-l", "1e-15",
+        "--axis1", "eps_p=0.005:0.006:2", "--axis2", "w_p=100:300:2",
+        "--contour", str(contour))
+    assert code == 0
+    headers = (out.splitlines()[0], contour.read_text().splitlines()[0])
+    for header, command in zip(headers, ("phase", "phase-contour")):
+        meta = json.loads(header[2:])
+        assert meta["command"] == command
+        assert "command" not in meta["params"]
+
+
 def test_phase_rejects_bad_axis(capsys):
     code, out, err = run_cli(
         capsys, "phase", "--tail", "pareto", "--wp-ratio", "3e2",

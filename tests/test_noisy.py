@@ -14,14 +14,13 @@ from ftcircuit import noisy, transform
 from ftcircuit.circuit import CircuitError, GateLabel, parse_circuit
 from ftcircuit.noisy import (BundleState, ErrorEstimate, ExactEngineError,
                              circuit_logical_error, exact_stage_error,
-                             failure_threshold, formula_wrong_count_distribution,
-                             gadget_network, induce_network,
+                             failure_threshold, gadget_network, induce_network,
                              monte_carlo_logical_error, tail_probability,
                              tree_error_marginals)
-from ftcircuit.transform import FtParams, build_formula_gadget, build_ft_gadget
+from ftcircuit.transform import (FtParams, build_formula_gadget,
+                                 build_ft_gadget, build_majority_ec_formula)
 from ftcircuit.analytic import fixed_points
 from ftcircuit.circuit import NAND
-from ftcircuit.numerics import binom_tail
 
 
 def test_single_gate_network_error_rate():
@@ -325,14 +324,33 @@ def test_unknown_block_kind_is_one_error_before_any_sampling(monkeypatch):
     assert messages == {"unknown block kind: bogus"}
 
 
+def _exact_binomial_tail(n: int, p: float, k: int) -> float:
+    """Pr[Binomial(n, p) >= k] in exact rationals at the float p."""
+    q = Fraction(p)
+    return float(sum(math.comb(n, j) * q ** j * (1 - q) ** (n - j)
+                     for j in range(k, n + 1)))
+
+
 def test_formula_variant_matches_binomial():
-    from ftcircuit.analytic import stage_error
-    for n in (3, 5, 9):
-        p = FtParams(n, 2, 0.005, 0.058)
-        dist = formula_wrong_count_distribution(p, block="gadget")
-        f = stage_error(2, 0.005, 0.058)
-        t = failure_threshold(n, 0.058)
-        assert abs(tail_probability(dist, t) - binom_tail(n, f, t)) < 1e-12
+    # the per-wire rate comes from marginal propagation on the fan-out-1
+    # circuit itself: the formula gadget fed encoded 1, or the majority
+    # tree fed encoded 0 with delta wrong inputs
+    for block, (eps_p, delta) in itertools.product(
+            ("gadget", "ec"), ((0.005, 0.058), (0.01, 0.1))):
+        if block == "gadget":
+            tree = build_formula_gadget(FtParams(1, 2, eps_p, delta)).circuit
+            reference = {w: 1 for w in tree.inputs}
+        else:
+            tree = build_majority_ec_formula(2)
+            reference = {w: 0 for w in tree.inputs}
+        net = induce_network(tree, eps_p, delta, reference)
+        (wire,) = set(tree_error_marginals(net).values())
+        for n, fraction in itertools.product(range(1, 10, 2), (None, 0.058)):
+            want = _exact_binomial_tail(n, wire, failure_threshold(n, fraction))
+            got = circuit_logical_error(FtParams(n, 2, eps_p, delta),
+                                        delta_threshold=fraction,
+                                        variant="formula", block=block).mean
+            assert abs(got - want) <= 1e-12 * want, (block, eps_p, n, fraction)
 
 
 def test_circuit_error_exceeds_formula_error():
@@ -502,12 +520,14 @@ def test_exact_law_matches_fraction_oracle(request, n, block, wiring,
 
 
 def test_formula_distribution_noiseless_edge():
+    # with no noise no wire is wrong: even a single wrong wire (threshold
+    # 1) has probability 0
     for block in ("gadget", "ec"):
-        dist = formula_wrong_count_distribution(FtParams(5, 2, 0.0, 0.0),
-                                                block)
-        assert dist.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-    est = circuit_logical_error(FtParams(5, 2, 0.0, 0.0), variant="formula")
-    assert est.mean == 0.0
+        for fraction in (None, 0.2):
+            est = circuit_logical_error(FtParams(5, 2, 0.0, 0.0),
+                                        delta_threshold=fraction,
+                                        variant="formula", block=block)
+            assert est.mean == 0.0
 
 
 def test_formula_chi_leaves_scipy_stats_unimported():
