@@ -44,6 +44,7 @@ class ChiEstimate:
     ci_high: float
     circuit_fit: SlopeFit
     formula_fit: SlopeFit
+    methods: tuple[str, ...]  # the engine of each circuit point
 
 
 def fit_effective_slope(points) -> SlopeFit:
@@ -85,7 +86,7 @@ def estimate_chi(depth: int, eps_p: float, delta="optimal",
     if any(n % 2 == 0 for n in ns):
         raise ValueError("n_range must contain odd code sizes")
 
-    circuit_points, formula_points = [], []
+    circuit_points, formula_points, methods = [], [], []
     for i, n in enumerate(ns):
         params = FtParams(n, depth, eps_p, d)
         est = circuit_logical_error(params, method=method,
@@ -93,6 +94,7 @@ def estimate_chi(depth: int, eps_p: float, delta="optimal",
                                     block="ec", wiring=wiring,
                                     samples=samples, seed=seed + i)
         circuit_points.append((n, est.mean, est.ci_low, est.ci_high))
+        methods.append(est.method)
         ref = circuit_logical_error(params, variant="formula", block="ec")
         formula_points.append((n, ref.mean))
 
@@ -107,7 +109,8 @@ def estimate_chi(depth: int, eps_p: float, delta="optimal",
 
     chi = circuit_fit.slope / formula_fit.slope
     lo, hi = _chi_interval(circuit_points, formula_fit.slope, chi)
-    return ChiEstimate(chi, lo, hi, circuit_fit, formula_fit)
+    return ChiEstimate(chi, lo, hi, circuit_fit, formula_fit,
+                       tuple(methods))
 
 
 def _chi_interval(circuit_points, formula_slope: float,

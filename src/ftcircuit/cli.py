@@ -85,8 +85,8 @@ def cmd_chi(args) -> dict:
         args.depth, args.eps_p, args.delta, _parse_n_range(args.n_range),
         method=args.method, variant=variant, wiring=args.wiring,
         samples=args.samples, seed=args.seed)
-    rows = [(n, eps_l, lo, hi, args.method)
-            for n, eps_l, lo, hi in est.circuit_fit.points]
+    rows = [(*point, method)
+            for point, method in zip(est.circuit_fit.points, est.methods)]
     if args.csv:
         _dump_csv(_metadata(args, "chi"),
                   ["n", "eps_l", "ci_low", "ci_high", "method"],
@@ -225,8 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     wiring.add_argument("--wiring", default=transform.WIRING_OFFSET_DOUBLING,
                         choices=transform.WIRINGS)
     engine = argparse.ArgumentParser(add_help=False, parents=[wiring])
-    engine.add_argument("--method", default="auto",
-                        choices=["auto", "exact", "monte_carlo"])
+    engine.add_argument("--method", default="auto", choices=noisy.METHODS)
     engine.add_argument("--formula", action="store_true",
                         help="use the fan-out-1 tree variant (chi = 1)")
     engine.add_argument("--samples", type=int, default=1_000_000)

@@ -373,6 +373,8 @@ def _ring_count_law(n: int, offsets: list[int], eps_p: float,
 # a "gadget" is a computation NAND layer and then the EC block, "ec" the
 # EC block alone
 BLOCKS = ("gadget", "ec")
+# the engine choices of circuit_logical_error
+METHODS = ("auto", "exact", "monte_carlo")
 
 
 def _is_gadget(block: str) -> bool:
@@ -437,10 +439,12 @@ MC_BATCH = 1 << 20
 
 # mask rates below this draw geometric gaps; at and above it, bits of U
 _SPARSE_BELOW = 1.0 / 32.0
-# the dense branch draws for every word in its first levels and for the
-# tied words only after that: a word's 64 lanes are all decided by level
-# 5 in 13% of words and by level 8 in 78%, and until then gathering the
-# tied words costs more than the draws it saves
+# the dense branch draws for every word through this level and for the
+# words with a tied lane only after it, a part of the stream.  A word has
+# no tied lane left after level 5 with probability (31/32)^64 = 13%,
+# after level 8 with 78%; at 2^20 samples, switching at 7 or 8 costs the
+# same to within 2% per mask, at 6 or 9 about 5% more, at 5 or 10 about
+# 11% more (2-core x86, numpy 2.4).
 _DENSE_ALL_WORDS = 8
 _ALL = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
@@ -461,60 +465,77 @@ def _bernoulli_words(rng: np.random.Generator, p: float,
     Sparse p sets the ones at cumulative geometric(p) gaps, drawn as
     ceil(E / -log1p(-p)) from standard exponentials E: numpy's
     Generator.geometric inverts so for p < 1/3, so these are its draws and
-    its stream, without its log1p per draw.  One bincount sums the ones of
-    each 32-bit half word, distinct powers of two, exactly in float64.
+    its stream, without its log1p per draw.  E comes in chunks of
+    m p + 6 sqrt(m p) + 16 draws into one buffer, where the gaps and then
+    their running sums are worked out in place; each set bit is added
+    into its word, and distinct bits add as OR.
     Dense p compares a uniform U = 0.u1u2... with p = 0.p1p2... bit by
     bit: at level i a lane still tied with p takes 1 if u_i < p_i and 0 if
-    u_i > p_i.  One random_raw word resolves 64 lanes; after the first
-    levels only words with a tied lane draw, and the loop ends when no
-    lane is tied or p has no 1 bits left (a tie then means U >= p).
-    Neither branch rounds p.
+    u_i > p_i.  One random_raw word resolves 64 lanes.  Through level
+    _DENSE_ALL_WORDS every word draws, after it only the words with a
+    tied lane, in word order; the loop ends when no lane is tied or p has
+    no 1 bits left (a tie then means U >= p).  Neither branch rounds p.
+
+    _SPARSE_BELOW, _DENSE_ALL_WORDS, the chunk size and the draw order
+    are part of the stream: they fix which generator outputs feed which
+    samples, so changing any of them moves every fixed-seed estimate.
+    At 2^20 samples a mask at p = 0.02 costs about three times its
+    exponential draws (cumsum and the scatter hold most of the rest), one
+    at p = 0.07 or 0.14 about 1.7 times its eight full levels of
+    random_raw (2-core x86, numpy 2.4).
     """
-    n_words = (m + 63) >> 6
+    words = np.zeros((m + 63) >> 6, dtype=np.uint64)
     if p == 0.0:
-        return np.zeros(n_words, dtype=np.uint64)
+        return words
     if p < _SPARSE_BELOW:
+        rate = -math.log1p(-p)
         chunk = int(m * p + 6.0 * math.sqrt(m * p)) + 16
-        ones = np.zeros(0, dtype=np.int64)
-        last = -1
+        pos = np.empty(chunk)
+        ones = np.empty(chunk, dtype=np.int64)
+        bits = pos.view(np.int64)
+        last = -1.0
         while last < m:
-            # one gap past m ends the mask; clamping there keeps the
-            # cumsum finite where a gap overflows (p below about 1e-19)
+            # the positions below m are sums of integer gaps, exact in
+            # float64; a gap or sum that overflows to inf (p near the
+            # least double) only ends the mask
+            rng.standard_exponential(out=pos)
             with np.errstate(over="ignore"):
-                gaps = np.ceil(rng.standard_exponential(chunk)
-                               / -math.log1p(-p))
-            pos = np.cumsum(np.minimum(gaps, m + 1).astype(np.int64))
-            pos += last
-            last = int(pos[-1])
-            ones = np.concatenate((ones, pos[:np.searchsorted(pos, m)]))
-        return np.bincount(ones >> 5,
-                           np.ldexp(1.0, (ones & 31).astype(np.int32)),
-                           2 * n_words).astype("<u4").view("<u8")
-    words = np.zeros(n_words, dtype=np.uint64)
+                pos /= rate
+                np.ceil(pos, out=pos)
+                pos[0] += last
+                np.cumsum(pos, out=pos)
+            last = pos[-1]
+            k = np.searchsorted(pos, m)
+            # the word and the bit of each position below m
+            np.copyto(ones[:k], pos[:k], casting="unsafe")
+            np.bitwise_and(ones[:k], 63, out=bits[:k])
+            np.left_shift(1, bits[:k], out=bits[:k])
+            np.right_shift(ones[:k], 6, out=ones[:k])
+            np.add.at(words, ones[:k], bits[:k].view(np.uint64))
+        return words
     raw = rng.bit_generator.random_raw
     tied = _lanes(m)
     idx = None
     rest = p
     for level in itertools.count(1):
         rest *= 2.0
-        u = raw(tied.size)
-        np.invert(u, out=u)
+        # split the tied lanes by u_i, the raw bit
+        u1 = raw(tied.size)
+        u1 &= tied
+        tied ^= u1
         if rest >= 1.0:
-            # p_i = 1: the tied lanes with u_i = 0 fall below p
+            # p_i = 1: u_i = 0 falls below p, u_i = 1 stays tied
             rest -= 1.0
-            u &= tied
             if idx is None:
-                words |= u
+                words |= tied
             else:
-                words[idx] |= u
-            tied ^= u
-        else:
-            # p_i = 0: the tied lanes with u_i = 1 rise above p
-            tied &= u
+                words[idx] |= tied
+            tied = u1
+        # p_i = 0: u_i = 1 rises above p, u_i = 0 stays tied
         if rest == 0.0:
             return words
         if level >= _DENSE_ALL_WORDS:
-            keep = np.flatnonzero(tied)
+            keep = (tied != 0).nonzero()[0]
             if not keep.size:
                 return words
             idx = keep if idx is None else idx[keep]
@@ -594,6 +615,7 @@ def monte_carlo_logical_error(net: LayeredNoisyNetwork,
                  for w in circuit.outputs]
         # the padding lanes past m stay out of the count
         failed = _at_least(wrong, threshold, _lanes(m))
+        failed = failed[failed != 0]
         failures += int(np.unpackbits(failed.view(np.uint8)).sum())
     mean = failures / samples
     lo, hi = wilson_interval(failures, samples)
@@ -626,18 +648,24 @@ def circuit_logical_error(params: FtParams, method: str = "auto",
     """One-stage logical failure probability of a gadget (or EC block).
 
     variant "circuit" is the width-n construction; "formula" the
-    fan-out-1 tree expansion (independent wires, binomial law).  method
-    "auto" takes the exact engine that exact_stage_error picks and falls
-    back to Monte Carlo where it raises ExactEngineError.
+    fan-out-1 tree expansion (independent wires, binomial law), which is
+    exact and so refuses method "monte_carlo".  method "auto" takes the
+    exact engine that exact_stage_error picks and falls back to Monte
+    Carlo where it raises ExactEngineError.
     """
     threshold = failure_threshold(params.n, delta_threshold)
+    if method not in METHODS:
+        raise ValueError(f"unknown method: {method}")
     if variant == "formula":
+        if method == "monte_carlo":
+            raise ValueError("the formula variant is exact: method "
+                             "monte_carlo does not apply (use auto or exact)")
         wire = ec_error(params.depth, params.eps_p,
                         _block_input_error(params, block))
         return exact_estimate(binom_tail(params.n, wire, threshold))
     if variant != "circuit":
         raise ValueError(f"unknown variant: {variant}")
-    if method in ("auto", "exact"):
+    if method != "monte_carlo":
         try:
             dist = exact_stage_error(params, block, wiring)
         except ExactEngineError:
@@ -645,7 +673,5 @@ def circuit_logical_error(params: FtParams, method: str = "auto",
                 raise
         else:
             return exact_estimate(tail_probability(dist, threshold))
-    elif method != "monte_carlo":
-        raise ValueError(f"unknown method: {method}")
     net = gadget_network(params, wiring, block)
     return monte_carlo_logical_error(net, delta_threshold, samples, seed)

@@ -125,6 +125,23 @@ def test_simulate_deterministic_bytes(capsys):
     assert out1 == out2
 
 
+def test_simulate_monte_carlo_golden_record(capsys):
+    # a fixed seed pins the record across versions: 866 failures in
+    # 200,000 samples
+    code, out, _ = run_cli(capsys, "simulate", "--n", "9", "--eps-p", "0.01",
+                           "--method", "monte_carlo", "--samples", "200000",
+                           "--seed", "7")
+    assert code == 0
+    record = json.loads(out)
+    del record["meta"]
+    assert record == {
+        "D": 2, "ci_high": 0.00462743784279605,
+        "ci_low": 0.00405160275042221, "delta": 0.058, "eps_p": 0.01,
+        "estimate": 0.00433, "method": "monte_carlo", "n": 9,
+        "samples": 200000, "seed": 7}
+    assert record["estimate"] == 866 / 200000
+
+
 def test_chi_command(capsys):
     code, out, _ = run_cli(capsys, "chi", "--depth", "2", "--eps-p", "0.005",
                            "--n-range", "5,7,9,11")
@@ -153,6 +170,32 @@ def test_chi_formula(capsys):
     code, out, _ = run_cli(capsys, "chi", "--depth", "2", "--formula",
                            "--n-range", "5,7,9,11")
     assert json.loads(out)["chi"] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "5", "--eps-p", "0.005", "--formula"],
+    ["chi", "--depth", "2", "--formula", "--n-range", "5,7,9,11"],
+])
+def test_formula_refuses_monte_carlo(capsys, argv):
+    # the formula law is exact; a sampling method is an error, not ignored
+    code, out, err = run_cli(capsys, *argv, "--method", "monte_carlo",
+                             "--samples", "10000")
+    assert (code, out) == (1, "")
+    assert err == ("error: the formula variant is exact: method monte_carlo "
+                   "does not apply (use auto or exact)\n")
+    for method in ("auto", "exact"):
+        code, out, err = run_cli(capsys, *argv, "--method", method)
+        assert (code, err) == (0, "")
+        assert json.loads(out)
+
+
+@pytest.mark.parametrize("formula", [[], ["--formula"]])
+def test_chi_points_name_the_engine_that_ran(capsys, formula):
+    # method auto runs an exact engine at these n; each point says so
+    code, out, _ = run_cli(capsys, "chi", "--depth", "2", "--n-range",
+                           "5,7,9,11", *formula)
+    assert code == 0
+    assert [p[4] for p in json.loads(out)["points"]] == ["exact"] * 4
 
 
 def test_chi_csv_output(capsys, tmp_path):

@@ -241,6 +241,45 @@ def test_sparse_masks_keep_the_geometric_stream(p, m):
         assert rng.bit_generator.state == oracle.bit_generator.state, seed
 
 
+def _dense_mask(rng, p, m):
+    """The dense mask as a plain level-by-level loop: through level 8 (the
+    switch level, part of the stream) every word draws one raw word, after
+    it one raw word per word that still has a tied lane, in word order.  Digit i of p is
+    read off its exact binary fraction; the loop ends after p's last 1
+    digit.  U's digit i is the raw bit: lanes with u_i < p_i take 1, lanes
+    with u_i > p_i take 0, equal lanes stay tied."""
+    n_words = (m + 63) >> 6
+    tied = np.array([(1 << min(64, m - 64 * w)) - 1 for w in range(n_words)],
+                    dtype=np.uint64)
+    words = np.zeros(n_words, dtype=np.uint64)
+    num, den = p.as_integer_ratio()
+    last_level = den.bit_length() - 1
+    for level in range(1, last_level + 1):
+        if level <= 8:
+            draw = np.arange(n_words)
+        else:
+            draw = np.flatnonzero(tied != 0)
+            if not draw.size:
+                break
+        u = rng.bit_generator.random_raw(draw.size)
+        if (num >> (last_level - level)) & 1:
+            words[draw] |= tied[draw] & ~u
+            tied[draw] &= u
+        else:
+            tied[draw] &= ~u
+    return words
+
+
+@pytest.mark.parametrize("p", [1 / 32, 0.0716, 0.136, 0.25, 0.4999])
+@pytest.mark.parametrize("m", [10_007, 1 << 20, (1 << 22) + 37])
+def test_dense_masks_keep_the_level_stream(p, m):
+    for seed in range(3):
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        words = noisy._bernoulli_words(rng, p, m)
+        assert np.array_equal(words, _dense_mask(oracle, p, m)), seed
+        assert rng.bit_generator.state == oracle.bit_generator.state, seed
+
+
 @pytest.mark.parametrize("count", [1, 3, 7, 8, 21])
 def test_at_least_counts_like_a_loop(count):
     rng = np.random.default_rng(count)
@@ -249,6 +288,33 @@ def test_at_least_counts_like_a_loop(count):
     for threshold in range(1, count + 2):
         got = noisy._at_least(wrong, threshold, noisy._lanes(64 * 50))
         assert (_unpack(got) == (per_lane >= threshold)).all()
+
+
+# failure counts of fixed-seed runs: any change to the mask stream (or to
+# numpy's) moves them.  The sparse masks serve eps_p, the dense ones delta.
+GOLDEN_FAILURES = [
+    # block, n, D, eps_p, delta, threshold fraction, samples, seed, failures
+    ("gadget", 9, 2, 0.01, 0.07, None, 100_000, 11, 661),
+    ("ec", 9, 2, 0.01, 0.07, None, 100_000, 12, 76),
+    ("gadget", 13, 4, 0.02, 0.14, None, 100_000, 13, 3040),
+    ("ec", 13, 4, 0.02, 0.14, None, 100_000, 14, 350),
+    ("gadget", 9, 2, 0.01, 0.07, 0.3, 100_000, 16, 5094),
+    # two batches, the last one ending in a partial word
+    ("gadget", 9, 2, 0.01, 0.07, None, (1 << 20) + 197, 15, 7571),
+]
+
+
+@pytest.mark.parametrize(
+    "block,n,depth,eps_p,delta,fraction,samples,seed,failures",
+    GOLDEN_FAILURES)
+def test_monte_carlo_golden_failure_counts(block, n, depth, eps_p, delta,
+                                           fraction, samples, seed,
+                                           failures):
+    est = circuit_logical_error(FtParams(n, depth, eps_p, delta),
+                                method="monte_carlo",
+                                delta_threshold=fraction, block=block,
+                                samples=samples, seed=seed)
+    assert est.mean == failures / samples
 
 
 @pytest.mark.parametrize("n,depth,delta", [(5, 2, 0.058), (7, 2, 0.058),
@@ -351,6 +417,16 @@ def test_formula_variant_matches_binomial():
                                         delta_threshold=fraction,
                                         variant="formula", block=block).mean
             assert abs(got - want) <= 1e-12 * want, (block, eps_p, n, fraction)
+
+
+def test_formula_variant_refuses_monte_carlo():
+    # the formula law is exact: there is nothing to sample
+    p = FtParams(5, 2, 0.005, 0.058)
+    with pytest.raises(ValueError, match="formula variant is exact"):
+        circuit_logical_error(p, method="monte_carlo", variant="formula")
+    for method in ("auto", "exact"):
+        est = circuit_logical_error(p, method=method, variant="formula")
+        assert est.method == "exact"
 
 
 def test_circuit_error_exceeds_formula_error():
