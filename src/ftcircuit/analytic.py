@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
+from typing import Callable
 
 from .numerics import bisect, golden_min, log_binom_tail
 
@@ -75,6 +77,16 @@ def ec_error(depth: int, eps_p: float, e: float) -> float:
     return e
 
 
+def _stage_curve(depth: int, eps_p: float) -> Callable[[float], float]:
+    """The stage error curve delta -> f(delta) of (depth, eps_p), with
+    depth and eps_p checked once for all its evaluations; delta is not
+    checked."""
+    check_depth(depth)
+    check_rate("eps_p", eps_p)
+    return lambda delta: ec_error(depth, eps_p,
+                                  computation_error(delta, eps_p))
+
+
 def stage_error(depth: int, eps_p: float, delta: float) -> float:
     """Worst-case per-wire error f(delta) after one computation NAND and
     D error-correction layers.
@@ -83,10 +95,9 @@ def stage_error(depth: int, eps_p: float, delta: float) -> float:
     either wrong input corrupts the output); the EC block then starts
     from encoded 0.
     """
-    check_depth(depth)
-    check_rate("eps_p", eps_p)
+    curve = _stage_curve(depth, eps_p)
     check_rate("delta", delta)
-    return ec_error(depth, eps_p, computation_error(delta, eps_p))
+    return curve(delta)
 
 
 def stage_error_depth2_closed_form(eps_p: float, delta: float) -> float:
@@ -137,8 +148,10 @@ class AmplificationWindow:
                 raise ValueError(f"eps_p={eps_p} is at or above the "
                                  f"depth-{depth} pseudothreshold")
 
+            curve = _stage_curve(depth, eps_p)
+
             def score(d: float) -> float:
-                f = stage_error(depth, eps_p, d)
+                f = curve(d)
                 return (f - d) / math.sqrt(f * (1.0 - f))
 
             delta = golden_min(score, self.delta_lo, self.delta_hi,
@@ -154,11 +167,14 @@ class AmplificationWindow:
                               2.0 * f * (1.0 - f) / (f - delta) ** 2)
 
 
-def _min_gap(depth: int, eps_p: float) -> tuple[float, float]:
-    """(argmin, min) of f(delta) - delta on (0, 1/2), by golden section
-    to 1e-12: the one search that decides whether a window exists."""
-    gap = lambda d: stage_error(depth, eps_p, d) - d
-    return golden_min(gap, 0.0, 0.5 - 1e-12, tol=1e-12)
+def _min_gap(depth: int, eps_p: float) -> tuple[float, float, Callable]:
+    """(argmin, min, gap) of gap(delta) = f(delta) - delta on (0, 1/2),
+    by golden section to 1e-12: the one search that decides whether a
+    window exists.  gap, built on one stage error curve, is returned for
+    the caller's own searches."""
+    curve = _stage_curve(depth, eps_p)
+    gap = lambda d: curve(d) - d
+    return (*golden_min(gap, 0.0, 0.5 - 1e-12, tol=1e-12), gap)
 
 
 def fixed_points(depth: int, eps_p: float) -> AmplificationWindow:
@@ -167,12 +183,9 @@ def fixed_points(depth: int, eps_p: float) -> AmplificationWindow:
     Returns exists=False when f lies above the identity on all of
     (0, 1/2), i.e. eps_p is above the pseudothreshold.
     """
-    check_depth(depth)
-    check_rate("eps_p", eps_p)
-    d_min, g_min = _min_gap(depth, eps_p)
+    d_min, g_min, gap = _min_gap(depth, eps_p)
     if g_min > 0.0:
         return AmplificationWindow(depth, eps_p, False)
-    gap = lambda d: stage_error(depth, eps_p, d) - d
     # each fixed point is the midpoint of its bisection bracket
     lo = 0.5 * sum(bisect(gap, 0.0, d_min, tol=1e-10))
     hi = 0.5 * sum(bisect(gap, d_min, 0.5 - 1e-12, tol=1e-10))
@@ -248,7 +261,7 @@ def pseudothreshold(depth: int) -> float:
     for _ in range(_NEWTON_ITERATIONS):
         tangency = _tangency(depth, eps_p, delta)
         if tangency is None:
-            d_min, gap = _min_gap(depth, eps_p)
+            d_min, gap, _ = _min_gap(depth, eps_p)
             if gap <= 0.0:
                 delta = d_min
             step = math.nan
@@ -342,9 +355,17 @@ def required_code_size(eps_l_target: float,
     passing n vouches for every smaller n of its run and a failing n for
     every larger one: the walk crosses one threshold run per tail
     evaluation and stops where a step-by-step walk would.
+
+    Which qualifying n it returns depends on where the guess lands, and
+    it need not be the smallest n that reaches the target: at D = 2 and
+    the optimal delta, eps_p = 0.007 and eps_l = 1e-15 give 26,321 where
+    26,181 already reaches it, and eps_p = 0.005, eps_l = 1e-12 give
+    7,705 against 7,689.  A different guess can return a different n.
     """
-    if not 0.0 < eps_l_target < 1.0:
-        raise ValueError(f"target must be in (0, 1), got {eps_l_target}")
+    if not sys.float_info.min <= eps_l_target < 1.0:
+        # a subnormal target overflows the guess's 1/eps_l
+        raise ValueError(f"target must be in [{sys.float_info.min!r}, 1), "
+                         f"got {eps_l_target}")
     log10_target = math.log10(eps_l_target)
     n = max(1, int(point.coefficient * math.log(1.0 / eps_l_target))) | 1
     while n > 1 and log10_logical_error(n - 2, point) <= log10_target:

@@ -9,6 +9,7 @@ against the golden-section window search before returning it.
 from __future__ import annotations
 
 import math
+import threading
 from typing import Callable
 
 import numpy as np
@@ -40,17 +41,24 @@ def log_binom_tail(n: int, p: float, k: int) -> float:
     else:
         last = min(n, k + 1 + math.ceil((39.2 - math.log1p(-r))
                                         / -math.log(r)))
-    return _log_sum_exp(_log_binom_terms(n, p, np.arange(k, last + 1)))
+    return _log_sum_exp(_log_binom_terms(n, p, k, last))
 
 
 def _log_sum_exp(a: np.ndarray) -> float:
     """log(sum(exp(a))) for finite a, by the steps of
     scipy.special.logsumexp: the m maxima are split out of the sum of
-    the shifted exponentials, which is divided by m when it is not 0."""
-    a_max = a.max()
+    the shifted exponentials, which is divided by m when it is not 0.
+    With one maximum, the usual case, the maximum is zeroed by its index
+    and the division by 1 and the log(1) = 0 are left out: the same
+    double."""
+    i = a.argmax()
+    a_max = a[i]
     top = a == a_max
     m = np.count_nonzero(top)
     shifted = np.exp(a - a_max)
+    if m == 1:
+        shifted[i] = 0.0
+        return float(np.log1p(shifted.sum()) + a_max)
     shifted[top] = 0.0
     s = shifted.sum()
     if s != 0.0:
@@ -58,10 +66,42 @@ def _log_sum_exp(a: np.ndarray) -> float:
     return float(np.log1p(s) + np.log(m) + a_max)
 
 
-def _log_binom_terms(n: int, p: float, ks: np.ndarray) -> np.ndarray:
-    """log Pr[Binomial(n, p) = k] for each k in ks, for 0 < p < 1."""
-    return (gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)
+def _log_binom_terms(n: int, p: float, k: int, last: int) -> np.ndarray:
+    """log Pr[Binomial(n, p) = j] for j = k..last, for 0 < p < 1."""
+    ks = np.arange(k, last + 1)
+    return (_log_factorials(n, n)[0] - _log_factorials(k, last)
+            - _log_factorials(n - last, n - k)[::-1]
             + ks * math.log(p) + (n - ks) * math.log1p(-p))
+
+
+# gammaln(j + 1) at index j, final below _log_factorials_filled and
+# extended on demand under the lock; its pages become resident only as
+# they are filled
+_LOG_FACTORIAL_CAP = 1 << 17
+_log_factorial_table = np.empty(_LOG_FACTORIAL_CAP)
+_log_factorials_filled = 0
+_log_factorials_lock = threading.Lock()
+
+
+def _log_factorials(lo: int, hi: int) -> np.ndarray:
+    """gammaln(j + 1) for j = lo..hi: a view of the table below the cap,
+    computed directly at or above it."""
+    global _log_factorials_filled
+    if hi >= _LOG_FACTORIAL_CAP:
+        return gammaln(np.arange(lo + 1.0, hi + 2.0))
+    if hi >= _log_factorials_filled:
+        with _log_factorials_lock:
+            filled = _log_factorials_filled
+            if hi >= filled:
+                # j + 1 for j = filled..hi, built in place (a float cumsum
+                # of ones is exact), so the fill makes no temporary array
+                new = _log_factorial_table[filled:hi + 1]
+                new.fill(1.0)
+                np.cumsum(new, out=new)
+                new += filled
+                gammaln(new, out=new)
+                _log_factorials_filled = hi + 1
+    return _log_factorial_table[lo:hi + 1]
 
 
 def binom_tail(n: int, p: float, k: int) -> float:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from ftcircuit.analytic import (fixed_points, log10_logical_error,
                                 optimal_fiducial, pseudothreshold,
                                 required_code_size, stage_error,
                                 stage_error_depth2_closed_form)
-from ftcircuit.numerics import _log_binom_terms, bisect, ols_fit
+from ftcircuit.numerics import bisect, ols_fit
 from ftcircuit.resource import EXPONENTIAL, TailModel, overhead_ratio
+from test_numerics import log_binom_terms
 
 EVANS_PIPPENGER = (3.0 - math.sqrt(7.0)) / 4.0
 
@@ -320,7 +322,7 @@ def step_walk_code_size(eps_l: float, depth: int, eps_p: float,
 
     def log10_tail(n: int) -> float:
         k = max(math.ceil(delta * n), 1)
-        terms = _log_binom_terms(n, f, np.arange(k, n + 1))
+        terms = log_binom_terms(n, f, np.arange(k, n + 1))
         return float(logsumexp(terms)) / math.log(10.0)
 
     target = math.log10(eps_l)
@@ -366,6 +368,16 @@ def test_required_code_size_long_threshold_runs():
     assert res.n % 2 == 1
     assert res.eps_l_achieved <= 1e-3
     assert analytic.log10_logical_error(res.n - 2, point) > -3.0
+
+
+def test_required_code_size_reaches_the_smallest_normal_target():
+    point = fixed_points(2, 0.005).point()
+    res = required_code_size(sys.float_info.min, point)
+    assert res.n == 220_161
+    assert 0.0 < res.eps_l_achieved <= sys.float_info.min
+    for target in (sys.float_info.min / 2, 5e-324, 0.0, 1.0):
+        with pytest.raises(ValueError, match="target must be in"):
+            required_code_size(target, point)
 
 
 def test_number_overhead():

@@ -218,6 +218,50 @@ def test_overhead_exponential_constancy(capsys):
     assert eta1 == eta2
 
 
+@pytest.mark.parametrize("argv", [
+    ["overhead", "--tail", "gaussian", "--eps-l", "1e-320"],
+    ["phase", "--tail", "pareto", "--eps-p", "0.005",
+     "--axis1", "w_p=100:300:2", "--axis2", "eps_l=1e-320:1e-15:2:log"],
+])
+def test_subnormal_eps_l_is_an_error(capsys, argv):
+    # 1/eps_l overflows to inf at a subnormal target, so the code-size
+    # search refuses it rather than end in an OverflowError traceback
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == ("error: target must be in [2.2250738585072014e-308, 1), "
+                   "got 1e-320\n")
+
+
+def _without_version(stdout: str):
+    """The fields of a JSON record, or the header fields and data rows of a
+    CSV, with the package version left out of the metadata."""
+    if stdout.startswith("# "):
+        header, *rows = stdout.splitlines()
+        meta = json.loads(header[2:])
+        del meta["version"]
+        return meta, rows
+    record = json.loads(stdout)
+    del record["meta"]["version"]
+    return record
+
+
+FORMULA_STDOUT = json.loads(
+    (Path(__file__).parent / "formula_stdout.json").read_text())
+
+
+@pytest.mark.parametrize("record", FORMULA_STDOUT,
+                         ids=lambda r: "-".join(a.lstrip("-")
+                                                for a in r["argv"][:3]))
+def test_formula_layer_stdout_is_recorded(capsys, record):
+    # phase, analyze, threshold and overhead stdout as recorded before the
+    # binomial tail read its log-factorials from a table; every float must
+    # match to the last digit.  The axes are linear or 2-point log, whose
+    # values are exact
+    code, out, _ = run_cli(capsys, *record["argv"])
+    assert code == 0
+    assert _without_version(out) == _without_version(record["stdout"])
+
+
 def test_phase_command(capsys):
     code, out, _ = run_cli(
         capsys, "phase", "--tail", "pareto", "--gamma", "2",

@@ -1,17 +1,27 @@
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
-from ftcircuit.numerics import _log_binom_terms, bisect, log_binom_tail
+from ftcircuit import numerics
+from ftcircuit.numerics import bisect, log_binom_tail
+
+
+def log_binom_terms(n: int, p: float, ks: np.ndarray) -> np.ndarray:
+    """log Pr[Binomial(n, p) = k] for each k in ks, from gammaln itself
+    rather than the package's table."""
+    return (gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)
+            + ks * math.log(p) + (n - ks) * math.log1p(-p))
 
 
 def full_log_tail(n: int, p: float, k: int) -> float:
     """Every term k..n of the tail, summed in log space."""
-    return float(logsumexp(_log_binom_terms(n, p, np.arange(k, n + 1))))
+    return float(logsumexp(log_binom_terms(n, p, np.arange(k, n + 1))))
 
 
 def tail_cases():
@@ -55,11 +65,96 @@ def test_log_binom_tail_edges():
                                                       rel=1e-15)
 
 
+@pytest.mark.parametrize("n,p,k,last", [
+    (40, 0.3, 5, 40),             # r >= 1: below the mode every term counts
+    (3, 5e-324, 2, 2),            # r = 0: (n - k)/(k + 1) * p underflows
+    (7, 0.2, 7, 7),               # k = n: the single term n log p
+    (200_000, 0.05, 9_000, 200_000),    # r >= 1, n - k past the cap
+])
+def test_log_binom_tail_edge_branches_sum_the_oracle_terms(n, p, k, last):
+    # the terms k..last the branch keeps, each the same double as
+    # gammaln's own, through the same log-sum-exp
+    want = numerics._log_sum_exp(log_binom_terms(n, p,
+                                                 np.arange(k, last + 1)))
+    assert log_binom_tail(n, p, k) == want
+
+
+def test_log_sum_exp_single_maximum_shortcut_is_the_same_double():
+    # the steps with the m maxima split out, written for any m
+    def log_sum_exp_steps(a):
+        a_max = a.max()
+        top = a == a_max
+        m = np.count_nonzero(top)
+        shifted = np.exp(a - a_max)
+        shifted[top] = 0.0
+        s = shifted.sum()
+        if s != 0.0:
+            s = s / m
+        return float(np.log1p(s) + np.log(m) + a_max)
+
+    rng = np.random.default_rng(5)
+    for size in (1, 2, 3, 17, 114, 1000):
+        for _ in range(200):
+            a = rng.normal(-700.0, rng.uniform(1e-3, 300.0), size)
+            if size > 1 and rng.random() < 0.3:
+                a[rng.integers(size)] = a.max()    # tied maxima
+            assert numerics._log_sum_exp(a) == log_sum_exp_steps(a)
+
+
+@pytest.mark.parametrize("lo,hi", [
+    (0, numerics._LOG_FACTORIAL_CAP - 1),
+    (numerics._LOG_FACTORIAL_CAP - 9, numerics._LOG_FACTORIAL_CAP),
+    (10**8 - 9, 10**8),
+    (5, 5),
+])
+def test_log_factorials_are_gammaln(lo, hi):
+    got = numerics._log_factorials(lo, hi)
+    want = gammaln(np.arange(lo, hi + 1) + 1.0)
+    assert got.tobytes() == want.tobytes()
+    # the table is filled in place and never grows past its cap
+    assert numerics._log_factorial_table.size == numerics._LOG_FACTORIAL_CAP
+    assert numerics._log_factorials_filled <= numerics._LOG_FACTORIAL_CAP
+
+
+def test_log_factorials_fill_is_safe_across_threads(monkeypatch):
+    # a fresh table filled by more threads than cores, each reading
+    # ranges that others are extending; no reader may see an entry that
+    # is still being built
+    monkeypatch.setattr(numerics, "_log_factorial_table",
+                        np.empty(numerics._LOG_FACTORIAL_CAP))
+    monkeypatch.setattr(numerics, "_log_factorials_filled", 0)
+    want = gammaln(np.arange(1.0, 60_002.0))
+    bad = []
+
+    def reader(seed):
+        # each thread walks up in its own steps, so that most calls
+        # extend the table and read just below where others extend it
+        for hi in range(seed, 60_000, 29 + seed):
+            lo = max(0, hi - 64)
+            if not np.array_equal(numerics._log_factorials(lo, hi),
+                                  want[lo:hi + 1]):
+                bad.append((lo, hi))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(seed,))
+                   for seed in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not bad
+
+
 @pytest.mark.parametrize("n,k", [(3, 1), (5, 2)])
 def test_log_binom_tail_tied_maxima(n, k):
     # at p = 1/2 the terms C(n, k) and C(n, k + 1) are the two largest;
     # the sum splits both out of the shifted exponentials
-    terms = _log_binom_terms(n, 0.5, np.arange(k, n + 1))
+    terms = log_binom_terms(n, 0.5, np.arange(k, n + 1))
     assert np.count_nonzero(terms == terms.max()) == 2
     exact = sum(Fraction(math.comb(n, j), 2 ** n) for j in range(k, n + 1))
     assert log_binom_tail(n, 0.5, k) == pytest.approx(math.log(exact),
