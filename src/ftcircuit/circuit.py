@@ -15,6 +15,9 @@ The text format is line based, one item per line::
 
 Comments start with ``#``.  Forward references are allowed; cycles are
 rejected.
+
+A ``Circuit`` is valid once built: construction runs the one netlist
+check, ``Circuit.check_valid``, which raises ``CircuitError``.
 """
 from __future__ import annotations
 
@@ -96,29 +99,18 @@ class Circuit:
             used = {w for g in self.gates for w in g.inputs}
             object.__setattr__(self, "outputs", tuple(
                 g.name for g in self.gates if g.name not in used))
+        self.check_valid()
 
     @cached_property
     def depths(self) -> dict[str, int]:
-        """ASAP depth per wire: inputs at 0, gates at 1 + max(parent depth).
-
-        Raises CircuitError on a duplicate or undeclared wire or a cycle.
-        """
+        """ASAP depth per wire: inputs at 0, gates at 1 + max(parent depth)."""
         depth: dict[str, int] = {w: 0 for w in self.inputs}
         gates = {g.name: g for g in self.gates}
-        if len({*depth, *gates}) != len(self.inputs) + len(self.gates):
-            raise CircuitError("duplicate wire name")
-        for g in self.gates:
-            for w in g.inputs:
-                if w not in depth and w not in gates:
-                    raise CircuitError(f"undeclared wire: {w}")
         sorter = TopologicalSorter(
             {g.name: [w for w in g.inputs if w in gates] for g in self.gates})
-        try:
-            for name in sorter.static_order():
-                depth[name] = 1 + max((depth[w] for w in gates[name].inputs),
-                                      default=0)
-        except CycleError:
-            raise CircuitError("circuit is not acyclic") from None
+        for name in sorter.static_order():
+            depth[name] = 1 + max((depth[w] for w in gates[name].inputs),
+                                  default=0)
         return depth
 
     @cached_property
@@ -127,9 +119,9 @@ class Circuit:
         # a stable sort: gates of equal depth keep declaration order
         return tuple(sorted(self.gates, key=lambda g: d[g.name]))
 
-    def validate(self) -> list[str]:
-        """Check the DAG invariants; returns a list of violations (empty =
-        valid).  The cycle check runs only on an otherwise valid circuit."""
+    def check_valid(self):
+        """Raise CircuitError listing every violated DAG invariant.  The
+        cycle check runs only on an otherwise valid circuit."""
         problems = []
         seen: set[str] = set()
         for w in (*self.inputs, *(g.name for g in self.gates)):
@@ -144,20 +136,20 @@ class Circuit:
             for w in g.inputs:
                 if w not in seen:
                     problems.append(f"undeclared wire: {w} (input of {g.name})")
+        outputs: set[str] = set()
         for w in self.outputs:
             if w not in seen:
                 problems.append(f"undeclared output wire: {w}")
+            elif w in outputs:
+                problems.append(f"duplicate output wire: {w}")
+            outputs.add(w)
         if not problems:
             try:
                 self.depths
-            except CircuitError as exc:
-                problems.append(str(exc))
-        return problems
-
-    def check_valid(self, error: type[CircuitError] = CircuitError):
-        problems = self.validate()
+            except CycleError:
+                problems.append("circuit is not acyclic")
         if problems:
-            raise error("; ".join(problems))
+            raise CircuitError("; ".join(problems))
 
     def evaluate(self, assignment: Mapping[str, int]) -> dict[str, int]:
         """Noiseless evaluation; returns values of the output wires."""
@@ -228,9 +220,10 @@ def parse_circuit(text: str, labels: Mapping[str, GateLabel] | None = None) -> C
             declared.add(name)
             gates.append(Gate(name, label, tuple(args)))
 
-    circuit = Circuit(tuple(inputs), tuple(gates), tuple(outputs))
-    circuit.check_valid(NetlistError)
-    return circuit
+    try:
+        return Circuit(tuple(inputs), tuple(gates), tuple(outputs))
+    except CircuitError as exc:
+        raise NetlistError(str(exc)) from None
 
 
 def serialize_circuit(circuit: Circuit, comments: Iterable[str] = ()) -> str:

@@ -108,7 +108,7 @@ def cmd_build(args):
             base = parse_circuit(fh.read())
         built = transform.apply_ft_construction(base, params, args.wiring)
     else:
-        built = transform.build_ft_gadget(transform.NAND, params, args.wiring)
+        built = transform.build_ft_gadget(params, args.wiring)
     _write(built.serialize(), args.output)
 
 

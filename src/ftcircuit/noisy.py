@@ -107,7 +107,6 @@ def induce_network(circuit: Circuit, eps_p: float, input_error: float,
                    reference: Mapping[str, int]) -> LayeredNoisyNetwork:
     """Build the noisy network; the reference assignment fixes the
     intended (noiseless) value of every wire."""
-    circuit.check_valid()
     return LayeredNoisyNetwork(circuit, eps_p, input_error, dict(reference))
 
 
@@ -628,7 +627,7 @@ def gadget_network(params: FtParams, wiring: str = WIRING_OFFSET_DOUBLING,
     """The noisy network of one gadget (or bare EC block) with the
     worst-case reference: gadget input bundles encode 1, EC inputs 0."""
     if _is_gadget(block):
-        gadget = transform.build_ft_gadget(transform.NAND, params, wiring)
+        gadget = transform.build_ft_gadget(params, wiring)
         circuit = gadget.circuit
         reference = {w: 1 for w in circuit.inputs}
     else:

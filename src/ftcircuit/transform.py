@@ -162,12 +162,11 @@ class FtGadget:
         return serialize_circuit(self.circuit, comments)
 
 
-def build_ft_gadget(label: GateLabel, params: FtParams,
+def build_ft_gadget(params: FtParams,
                     wiring: str = WIRING_OFFSET_DOUBLING) -> FtGadget:
     """The fault-tolerant NAND gadget: n computation gates (gate i reads
     wire i of each input bundle) followed by the depth-D EC circuit;
     (D + 1) * n gates in total."""
-    require_nand(label)
     bundle_a = tuple(f"a{i}" for i in range(params.n))
     bundle_b = tuple(f"b{i}" for i in range(params.n))
     gates, out = _gadget_gates(bundle_a, bundle_b, params.depth, "", wiring)
@@ -224,7 +223,6 @@ def apply_ft_construction(circuit: Circuit, params: FtParams,
     The result has |gates| * (D + 1) * n gates; circuit inputs and
     outputs become n-wire bundles.
     """
-    circuit.check_valid()
     bundles: dict[str, Bundle] = {
         w: tuple(f"{w}__{i}" for i in range(params.n)) for w in circuit.inputs}
     new_inputs = [w for b in bundles.values() for w in b]

@@ -57,26 +57,31 @@ def test_parse_errors_carry_line_numbers():
     ("in a\ng1 NAND a zz\nout g1\n", "undeclared wire: zz (input of g1)"),
     ("in a\ng1 NAND a a\nout zz\n", "undeclared output wire: zz"),
     ("in a\ng1 NAND g2 a\ng2 NAND g1 a\nout g2\n", "circuit is not acyclic"),
+    ("in a\nin b\ng1 NAND a b\ng2 NAND a b\nout g1\nout g2\nout g1\n",
+     "duplicate output wire: g1"),
 ])
 def test_netlist_problems_reported_once(text, message):
-    # the parser raises Circuit.validate's problems, each once
+    # the parser raises Circuit.check_valid's problems, each once
     with pytest.raises(NetlistError) as exc:
         parse_circuit(text)
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("gates,message", [
-    ([("a", ("a", "a"))], "duplicate wire name"),
-    ([("g1", ("a", "a")), ("g1", ("a", "a"))], "duplicate wire name"),
-    ([("g1", ("a", "zz"))], "undeclared wire: zz"),
-    ([("g1", ("g2", "a")), ("g2", ("g1", "a"))], "circuit is not acyclic"),
+@pytest.mark.parametrize("gates,outputs,message", [
+    ([("a", ("a", "a"))], ("a",), "duplicate wire name: a"),
+    ([("g1", ("a", "a")), ("g1", ("a", "a"))], ("a",),
+     "duplicate wire name: g1"),
+    ([("g1", ("a", "zz"))], ("a",), "undeclared wire: zz (input of g1)"),
+    ([("g1", ("g2", "a")), ("g2", ("g1", "a"))], ("a",),
+     "circuit is not acyclic"),
+    ([("g1", ("a", "a"))], ("zz",), "undeclared output wire: zz"),
+    ([("g1", ("a", "a")), ("g2", ("a", "a"))], ("g1", "g2", "g1"),
+     "duplicate output wire: g1"),
 ])
-def test_depths_of_an_unvalidated_circuit_fail_loudly(gates, message):
-    # a Circuit built without validate still refuses to order its gates
-    c = Circuit(("a",), tuple(Gate(name, NAND, ins) for name, ins in gates),
-                ("a",))
+def test_invalid_circuit_refused_at_construction(gates, outputs, message):
     with pytest.raises(CircuitError) as exc:
-        c.topological_order
+        Circuit(("a",), tuple(Gate(name, NAND, ins) for name, ins in gates),
+                outputs)
     assert str(exc.value) == message
 
 
@@ -94,13 +99,14 @@ def test_roundtrip_identity():
 
 
 def test_validate_fan_in_mismatch():
-    bad = Circuit(("a",), (Gate("g1", NAND, ("a",)),))
-    report = bad.validate()
-    assert any("fan-in mismatch" in line for line in report)
+    with pytest.raises(CircuitError) as exc:
+        Circuit(("a",), (Gate("g1", NAND, ("a",)),))
+    assert str(exc.value) == (
+        "fan-in mismatch: g1 has 1 in-edges, label NAND requires 2")
 
 
 def test_validate_ok():
-    assert parse_circuit(SIMPLE).validate() == []
+    parse_circuit(SIMPLE).check_valid()
 
 
 def test_gate_label_invariants():
@@ -136,7 +142,7 @@ def test_topological_layers_chain():
 
 def test_topological_layers_respect_edges():
     from ftcircuit.transform import build_ft_gadget, FtParams
-    c = build_ft_gadget(NAND, FtParams(5, 2)).circuit
+    c = build_ft_gadget(FtParams(5, 2)).circuit
     layers = c.topological_layers()
     assert [len(l) for l in layers] == [5, 5, 5]
     position = {w: 0 for w in c.inputs}
@@ -157,3 +163,14 @@ def test_default_outputs_are_sinks():
     c = Circuit(("a",), (Gate("g1", NAND, ("a", "a")),
                          Gate("g2", NAND, ("g1", "g1"))))
     assert c.outputs == ("g2",)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("in a\nout\n", "line 2: expected 'out <wire>'"),
+    ("in a\ng1\n", "line 2: cannot parse: 'g1'"),
+    ("in a\ng1 NAND a a\ng1 NAND a a\n", "line 3: duplicate wire name: g1"),
+])
+def test_netlist_line_errors(text, message):
+    with pytest.raises(NetlistError) as exc:
+        parse_circuit(text)
+    assert str(exc.value) == message

@@ -56,7 +56,7 @@ def test_formula_network_is_tree_and_circuit_is_not():
     tree_net = induce_network(build_formula_gadget(p).circuit, 0.005, 0.058,
                               {w: 1 for w in build_formula_gadget(p).circuit.inputs})
     assert tree_net.is_tree()
-    circ = build_ft_gadget(NAND, p).circuit
+    circ = build_ft_gadget(p).circuit
     circ_net = induce_network(circ, 0.005, 0.058,
                               {w: 1 for w in circ.inputs})
     assert not circ_net.is_tree()
@@ -760,3 +760,30 @@ def test_ring_engine_large_n(block):
         assert abs(dist.sum() - 1.0) <= 1e-12
         tails.append(tail_probability(dist, n // 2 + 1))
     assert 0.0 < tails[1] < tails[0]
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"method": "bogus"}, "unknown method: bogus"),
+    ({"variant": "bogus"}, "unknown variant: bogus"),
+])
+def test_circuit_logical_error_refuses_unknown_names(kwargs, message):
+    with pytest.raises(ValueError) as exc:
+        circuit_logical_error(FtParams(5, 2, 0.005, 0.058), **kwargs)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"stages": 0}, "stages must be >= 1"),
+    ({"block": "ec", "stages": 2},
+     "multi-stage applies to gadget blocks only"),
+])
+def test_exact_stage_error_refuses_bad_stages(kwargs, message):
+    with pytest.raises(ValueError) as exc:
+        exact_stage_error(FtParams(5, 2, 0.005, 0.058), **kwargs)
+    assert str(exc.value) == message
+
+
+def test_bundle_state_refuses_a_wrong_size():
+    with pytest.raises(ValueError) as exc:
+        BundleState(3, np.zeros(4))
+    assert str(exc.value) == "state size mismatch"

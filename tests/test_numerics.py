@@ -189,3 +189,15 @@ def test_bisect_exact_zero():
     assert bisect(lambda x: x - 0.5, 0.0, 1.0) == (0.5, 0.5)
     # a midpoint a few halvings in
     assert bisect(lambda x: x - 0.375, 0.0, 1.0, tol=1e-12) == (0.375, 0.375)
+
+
+def test_bisect_refuses_a_bracket_without_sign_change():
+    with pytest.raises(ValueError) as exc:
+        bisect(lambda x: x * x + 1.0, 0.0, 1.0)
+    assert str(exc.value) == "no sign change on [0.0, 1.0]"
+
+
+def test_wilson_interval_refuses_zero_trials():
+    with pytest.raises(ValueError) as exc:
+        numerics.wilson_interval(0, 0)
+    assert str(exc.value) == "trials must be positive"

@@ -309,3 +309,17 @@ def test_phase_grid_contour_crosses_one():
     assert grid.contour  # eta crosses 1 between 0.004 and 0.006
     for a1, a2 in grid.contour:
         assert 0.002 <= a1 <= 0.008 or 1e-4 <= a2 <= 1e-3
+
+
+@pytest.mark.parametrize("eps_p", [0.0, 0.5])
+def test_resource_tradeoff_refuses_eps_p_outside_the_open_interval(eps_p):
+    with pytest.raises(ValueError) as exc:
+        resource_tradeoff(TailModel(EXPONENTIAL), eps_p)
+    assert str(exc.value) == f"eps_p must be in (0, 1/2), got {eps_p}"
+
+
+def test_phase_grid_refuses_an_unknown_axis():
+    with pytest.raises(ValueError) as exc:
+        phase_grid(TailModel(EXPONENTIAL), "bogus", [1.0], "eps_l", [1e-10],
+                   {"eps_p": 0.005})
+    assert str(exc.value) == "unknown grid axis: bogus"

@@ -8,7 +8,7 @@ from ftcircuit.transform import (FtParams, WIRING_OFFSET_DOUBLING,
                                  apply_ft_construction, build_formula_gadget,
                                  build_ft_gadget, build_majority_ec_circuit,
                                  build_majority_ec_formula, decode_bits,
-                                 ec_offsets, encode_bit)
+                                 ec_offsets, encode_bit, ring_offset)
 
 
 def input_ancestors(circuit):
@@ -104,7 +104,7 @@ def test_ec_formula_noiseless_identity():
 
 
 def test_gadget_shape():
-    g = build_ft_gadget(NAND, FtParams(5, 2))
+    g = build_ft_gadget(FtParams(5, 2))
     assert len(g.circuit.gates) == 15
     assert [len(l) for l in g.circuit.topological_layers()] == [5, 5, 5]
     assert len(g.input_bundles) == 2
@@ -113,12 +113,12 @@ def test_gadget_shape():
 
 def test_gadget_depth_independent_of_n():
     for n in (1, 3, 9, 14):
-        g = build_ft_gadget(NAND, FtParams(n, 4))
+        g = build_ft_gadget(FtParams(n, 4))
         assert len(g.circuit.topological_layers()) == 5
 
 
 def test_gadget_noiseless_truth_table():
-    g = build_ft_gadget(NAND, FtParams(3, 2))
+    g = build_ft_gadget(FtParams(3, 2))
     for xa, xb in itertools.product((0, 1), repeat=2):
         assignment = {}
         for w, v in zip(g.input_bundles[0], encode_bit(xa, 3)):
@@ -133,12 +133,14 @@ def test_gadget_noiseless_truth_table():
 def test_gadget_rejects_other_labels():
     from ftcircuit.circuit import GateLabel
     nor = GateLabel("NOR", 2, (1, 0, 0, 0))
-    with pytest.raises(CircuitError, match="unsupported"):
-        build_ft_gadget(nor, FtParams(5, 2))
+    base = parse_circuit("in a\nin b\ng1 NOR a b\nout g1\n", {"NOR": nor})
+    with pytest.raises(CircuitError) as exc:
+        apply_ft_construction(base, FtParams(5, 2))
+    assert str(exc.value) == "unsupported gate label: NOR"
 
 
 def test_gadget_serialization_has_bundles():
-    text = build_ft_gadget(NAND, FtParams(3, 2)).serialize()
+    text = build_ft_gadget(FtParams(3, 2)).serialize()
     assert "# bundle in0:" in text
     assert "# bundle out:" in text
     parse_circuit(text)
@@ -218,7 +220,7 @@ def test_one_gate_construction_is_the_gadget(wiring):
 
     for n, depth in itertools.product((1, 2, 5, 8), (2, 4)):
         params = FtParams(n, depth)
-        gadget = build_ft_gadget(NAND, params, wiring)
+        gadget = build_ft_gadget(params, wiring)
         ft = apply_ft_construction(base, params, wiring)
         renamed = [(rename(g.name), g.label, tuple(map(rename, g.inputs)))
                    for g in ft.circuit.gates]
@@ -226,3 +228,18 @@ def test_one_gate_construction_is_the_gadget(wiring):
                            for g in gadget.circuit.gates]
         assert tuple(map(rename, ft.output_bundles["g1"])) == \
             gadget.output_bundle
+
+
+def test_unknown_wiring_refused():
+    with pytest.raises(ValueError) as exc:
+        ring_offset(5, 1, "bogus")
+    assert str(exc.value) == "unknown wiring rule: bogus"
+    with pytest.raises(ValueError) as exc:
+        build_majority_ec_circuit(5, 2, "bogus")
+    assert str(exc.value) == "unknown wiring rule: bogus"
+
+
+def test_majority_ec_circuit_refuses_an_empty_code():
+    with pytest.raises(ValueError) as exc:
+        build_majority_ec_circuit(0, 2)
+    assert str(exc.value) == "code size must be >= 1, got 0"
