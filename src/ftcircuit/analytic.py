@@ -136,14 +136,14 @@ class AmplificationWindow:
     delta_hi: float = math.nan
 
     def point(self, delta="optimal") -> OperatingPoint:
-        """The operating point at delta; "optimal" (or None) selects the
+        """The operating point at delta; "optimal" selects the
         delta in the window maximizing (delta - f)/sqrt(f(1-f)), the
         sqrt(n) coefficient of the normal-approximation logical error
         exponent, by minimizing its negative.  Raises ValueError when that
         window does not exist or f(delta) >= delta, which holds exactly
         outside the fixed points."""
         depth, eps_p = self.depth, self.eps_p
-        if delta is None or delta == "optimal":
+        if delta == "optimal":
             if not self.exists:
                 raise ValueError(f"eps_p={eps_p} is at or above the "
                                  f"depth-{depth} pseudothreshold")

@@ -143,6 +143,8 @@ class Circuit:
             elif w in outputs:
                 problems.append(f"duplicate output wire: {w}")
             outputs.add(w)
+        if not self.outputs:
+            problems.append("no output wire")
         if not problems:
             try:
                 self.depths

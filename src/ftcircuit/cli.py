@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import sys
 
@@ -42,12 +41,9 @@ def _json_command(handler):
 
 
 def _dump_csv(meta: dict, header: list[str], rows, output: str | None):
-    buf = io.StringIO()
-    buf.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(map(str, row)) + "\n")
-    _write(buf.getvalue(), output)
+    lines = ["# " + json.dumps(meta, sort_keys=True), ",".join(header)]
+    lines += [",".join(map(str, row)) for row in rows]
+    _write("\n".join(lines) + "\n", output)
 
 
 def _parse_n_range(spec: str) -> tuple[int, ...]:
@@ -179,39 +175,6 @@ def cmd_phase(args):
                   grid.contour, args.contour)
 
 
-class _CommandParser(argparse.ArgumentParser):
-    """One command's parser.  When --config names a file holding a JSON
-    object, the command's arguments are parsed again into a namespace
-    that starts from its values for the keys the command knows (string
-    values converted by the option's type, as argparse converts string
-    defaults), so explicit flags win; the parser itself is left as it
-    was.  Any other file is a usage error."""
-
-    def parse_known_args(self, args=None, namespace=None):
-        namespace, extras = super().parse_known_args(args, namespace)
-        if namespace.config is None:
-            return namespace, extras
-        try:
-            with open(namespace.config) as fh:
-                config = json.load(fh)
-            if not isinstance(config, dict):
-                raise ValueError("want a JSON object, got "
-                                 f"{type(config).__name__}")
-        except (OSError, ValueError) as exc:
-            self.error(f"--config {namespace.config}: {exc}")
-        start = argparse.Namespace()
-        for action in self._actions:
-            if action.dest in config and hasattr(namespace, action.dest):
-                value = config[action.dest]
-                if isinstance(value, str):
-                    try:
-                        value = self._get_value(action, value)
-                    except argparse.ArgumentError as exc:
-                        self.error(str(exc))
-                setattr(start, action.dest, value)
-        return super().parse_known_args(args, start)
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on first use and shared by every main call
@@ -242,8 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ftcircuit",
         description="fault-tolerant NAND-circuit analysis toolkit")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_CommandParser)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, *groups, help):
         p = sub.add_parser(name, parents=[common, *groups], help=help)
@@ -298,9 +260,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _config_flags(parser: argparse.ArgumentParser, args) -> list[str]:
+    """args.config's JSON object as flags for the keys the command knows:
+    --key=value for a string or number, --key for true, none for false or
+    null.  Any other file or value is a usage error."""
+    flags = []
     try:
-        args = build_parser().parse_args(argv)
+        with open(args.config) as fh:
+            config = json.load(fh)
+        if not isinstance(config, dict):
+            raise ValueError("want a JSON object, got "
+                             f"{type(config).__name__}")
+        for key, value in config.items():
+            if key in ("func", "command", "config") or key not in args:
+                continue
+            if isinstance(value, (list, dict)):
+                raise ValueError(f"{key}: want a string, number or boolean")
+            flag = "--" + key.replace("_", "-")
+            if value is not False and value is not None:
+                flags.append(flag if value is True else f"{flag}={value}")
+    except (OSError, ValueError) as exc:
+        parser.error(f"--config {args.config}: {exc}")
+    return flags
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
+    if args.config is not None:
+        # the file's flags go first, so the command line's own flags win
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(
+            argv[:at] + _config_flags(parser, args) + argv[at:])
+    try:
         args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

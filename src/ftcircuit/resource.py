@@ -55,8 +55,9 @@ class TailModel:
         if self.kind not in TAILS:
             raise ValueError(f"unknown tail kind: {self.kind}")
         for name in ("A", "C", "alpha", "sigma", "beta", "gamma", "w_p"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < (value := getattr(self, name)) < math.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value}")
 
     @property
     def scale(self) -> float:

@@ -256,8 +256,7 @@ def test_operating_point_fields():
     for depth, eps_p in ((2, 0.005), (4, 0.002), (6, 0.008)):
         window = fixed_points(depth, eps_p)
         assert (window.depth, window.eps_p) == (depth, eps_p)
-        for delta in ("optimal", None,
-                      0.5 * (window.delta_lo + window.delta_hi)):
+        for delta in ("optimal", 0.5 * (window.delta_lo + window.delta_hi)):
             point = window.point(delta)
             f = stage_error(depth, eps_p, point.delta)
             assert (point.depth, point.eps_p, point.f) == (depth, eps_p, f)

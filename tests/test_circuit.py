@@ -59,6 +59,7 @@ def test_parse_errors_carry_line_numbers():
     ("in a\ng1 NAND g2 a\ng2 NAND g1 a\nout g2\n", "circuit is not acyclic"),
     ("in a\nin b\ng1 NAND a b\ng2 NAND a b\nout g1\nout g2\nout g1\n",
      "duplicate output wire: g1"),
+    ("in a\n", "no output wire"),
 ])
 def test_netlist_problems_reported_once(text, message):
     # the parser raises Circuit.check_valid's problems, each once
@@ -77,6 +78,7 @@ def test_netlist_problems_reported_once(text, message):
     ([("g1", ("a", "a"))], ("zz",), "undeclared output wire: zz"),
     ([("g1", ("a", "a")), ("g2", ("a", "a"))], ("g1", "g2", "g1"),
      "duplicate output wire: g1"),
+    ([], (), "no output wire"),
 ])
 def test_invalid_circuit_refused_at_construction(gates, outputs, message):
     with pytest.raises(CircuitError) as exc:

@@ -85,6 +85,15 @@ def test_build_transforms_netlist(capsys, tmp_path):
     assert len(parse_circuit(out).gates) == 9
 
 
+def test_build_refuses_netlist_without_output(capsys, tmp_path):
+    base = tmp_path / "base.nl"
+    base.write_text("in a\nin b\n")
+    code, out, err = run_cli(capsys, "build", "--n", "3",
+                             "--netlist", str(base))
+    assert (code, out) == (1, "")
+    assert err == "error: no output wire\n"
+
+
 def test_build_rejects_unknown_gate(capsys):
     with pytest.raises(SystemExit):
         main(["build", "--n", "5", "--gate", "xor"])
@@ -483,6 +492,109 @@ def test_config_that_is_not_an_object_is_a_usage_error(capsys, tmp_path,
         main(["threshold", "--config", str(cfg)])
     assert exc.value.code == 2
     assert "want a JSON object" in capsys.readouterr().err
+
+
+def _as_flags(config: dict) -> list[str]:
+    flags = []
+    for key, value in config.items():
+        flag = "--" + key.replace("_", "-")
+        flags += [flag] if value is True else [flag, str(value)]
+    return flags
+
+
+# each command's minimal argv and a config setting its optional options,
+# each as a JSON value of its natural type
+CONFIG_PARITY = {
+    "analyze": (["analyze", "--eps-p", "0.005"], {"depth": 4}),
+    "threshold": (["threshold"], {"depth": 6}),
+    "chi": (["chi"], {"depth": 2, "eps_p": 0.006, "delta": 0.06,
+                      "n_range": "3,5,7,9", "method": "monte_carlo",
+                      "wiring": "unit", "samples": 20000, "seed": 3,
+                      "csv": "points.csv"}),
+    "chi-formula": (["chi"], {"depth": 4, "eps_p": 0.004, "delta": 0.08,
+                              "n_range": "5,7,9,11", "method": "exact",
+                              "formula": True}),
+    "build": (["build", "--n", "3"], {"depth": 4, "wiring": "unit",
+                                      "netlist": "base.nl"}),
+    "simulate-exact": (["simulate", "--n", "9", "--eps-p", "0.01"],
+                       {"depth": 2, "delta": 0.05, "delta_threshold": 0.4,
+                        "block": "ec", "method": "exact", "wiring": "unit"}),
+    "simulate-monte-carlo": (["simulate", "--n", "9", "--eps-p", "0.01"],
+                             {"delta": 0.05, "method": "monte_carlo",
+                              "samples": 20000, "seed": 7}),
+    "overhead": (["overhead", "--tail", "pareto", "--eps-l", "1e-10"],
+                 {"depth": 2, "wp_ratio": 300, "gamma": 3.0, "delta": 0.05,
+                  "chi": 0.5, "eps_p": 0.004}),
+    "phase": (["phase", "--tail", "pareto", "--axis1", "eps_p=0.004:0.006:2",
+               "--axis2", "w_p=100:300:2:log"],
+              {"depth": 2, "eps_l": 1e-12, "gamma": 2.5, "delta": 0.05,
+               "chi": 0.47, "contour": "contour.csv"}),
+}
+
+
+@pytest.mark.parametrize("argv,config", CONFIG_PARITY.values(),
+                         ids=CONFIG_PARITY.keys())
+def test_config_prints_the_bytes_of_its_flags(capsys, tmp_path, monkeypatch,
+                                              argv, config):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "base.nl").write_text("in a\nin b\ng1 NAND a b\nout g1\n")
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    code, want, err = run_cli(capsys, *argv, *_as_flags(config))
+    assert (code, err) == (0, "")
+    assert want
+    for order in (argv + ["--config", "cfg.json"],
+                  argv[:1] + ["--config", "cfg.json"] + argv[1:]):
+        assert run_cli(capsys, *order) == (0, want, "")
+
+
+@pytest.mark.parametrize("config,message", [
+    ({"formula": "false"},
+     "argument --formula: ignored explicit argument 'false'"),
+    ({"samples": 2e5}, "argument --samples: invalid int value: '200000.0'"),
+    ({"depth": 4.0}, "argument --depth: invalid int value: '4.0'"),
+    ({"wiring": "bogus"}, "argument --wiring: invalid choice: 'bogus'"),
+    ({"delta": [0.05]}, "delta: want a string, number or boolean"),
+    ({"seed": {"value": 7}}, "seed: want a string, number or boolean"),
+])
+def test_config_value_that_its_flag_refuses_is_a_usage_error(
+        capsys, tmp_path, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--n", "9", "--eps-p", "0.01", "--config",
+              str(cfg)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_config_false_and_null_leave_the_default(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"formula": False, "delta": None,
+                               "unknown_key": 1}))
+    argv = ["simulate", "--n", "9", "--eps-p", "0.01"]
+    want = run_cli(capsys, *argv)
+    assert run_cli(capsys, *argv, "--config", str(cfg)) == want
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["overhead", "--tail", "pareto", "--eps-l", "1e-10", "--gamma", "inf"],
+     "gamma must be positive and finite, got inf"),
+    (["overhead", "--tail", "pareto", "--eps-l", "1e-10", "--gamma", "nan"],
+     "gamma must be positive and finite, got nan"),
+    (["overhead", "--tail", "pareto", "--eps-l", "1e-10",
+      "--wp-ratio", "nan"], "w_p must be positive and finite, got nan"),
+    (["overhead", "--tail", "pareto", "--eps-l", "1e-10",
+      "--wp-ratio", "inf"], "w_p must be positive and finite, got inf"),
+    # the axis's first value, 1 + (inf - 1) * 0, is nan
+    (["phase", "--tail", "pareto", "--axis1", "gamma=1:inf:2",
+      "--axis2", "eps_l=1e-20:1e-15:2:log", "--eps-p", "0.005"],
+     "gamma must be positive and finite, got nan"),
+])
+def test_non_finite_tail_constant_is_refused(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [["threshold", "--depth", "38"],

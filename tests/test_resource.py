@@ -46,6 +46,11 @@ def test_tail_model_validation():
         TailModel(PARETO, gamma=-1.0)
     with pytest.raises(ValueError):
         TailModel(EXPONENTIAL, w_p=0.0)
+    for value in (math.inf, math.nan):
+        for name in ("gamma", "w_p"):
+            with pytest.raises(ValueError, match=(
+                    f"{name} must be positive and finite, got {value}")):
+                TailModel(PARETO, **{name: value})
 
 
 def test_error_from_signal_anchors():
