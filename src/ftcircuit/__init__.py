@@ -10,9 +10,9 @@ from .transform import (Bundle, FtCircuit, FtGadget, FtParams,
                         apply_ft_construction, build_formula_gadget,
                         build_ft_gadget, build_majority_ec_circuit,
                         build_majority_ec_formula, decode_bits, encode_bit)
-from .analytic import (AmplificationWindow, CodeSizeResult, OperatingPoint,
-                       fixed_points, optimal_fiducial, pseudothreshold,
-                       required_code_size, stage_error)
+from .analytic import (AmplificationWindow, OperatingPoint, fixed_points,
+                       optimal_fiducial, pseudothreshold, required_code_size,
+                       stage_error)
 from .noisy import (ErrorEstimate, LayeredNoisyNetwork, circuit_logical_error,
                     exact_stage_error, induce_network,
                     monte_carlo_logical_error)
@@ -29,7 +29,7 @@ __all__ = [
     "Bundle", "FtCircuit", "FtGadget", "FtParams", "apply_ft_construction",
     "build_formula_gadget", "build_ft_gadget", "build_majority_ec_circuit",
     "build_majority_ec_formula", "decode_bits", "encode_bit",
-    "AmplificationWindow", "CodeSizeResult", "OperatingPoint", "fixed_points",
+    "AmplificationWindow", "OperatingPoint", "fixed_points",
     "optimal_fiducial", "pseudothreshold", "required_code_size",
     "stage_error",
     "ErrorEstimate", "LayeredNoisyNetwork", "circuit_logical_error",

@@ -143,12 +143,11 @@ class AmplificationWindow:
         window does not exist or f(delta) >= delta, which holds exactly
         outside the fixed points."""
         depth, eps_p = self.depth, self.eps_p
+        curve = _stage_curve(depth, eps_p)
         if delta == "optimal":
             if not self.exists:
                 raise ValueError(f"eps_p={eps_p} is at or above the "
                                  f"depth-{depth} pseudothreshold")
-
-            curve = _stage_curve(depth, eps_p)
 
             def score(d: float) -> float:
                 f = curve(d)
@@ -158,7 +157,8 @@ class AmplificationWindow:
                                tol=1e-8)[0]
         else:
             delta = float(delta)
-        f = stage_error(depth, eps_p, delta)
+            check_rate("delta", delta)
+        f = curve(delta)
         if not f < delta:
             raise ValueError(
                 f"delta={delta} is outside the amplification window; "
@@ -314,15 +314,6 @@ def log10_logical_error(n: int, point: OperatingPoint) -> float:
     return log_binom_tail(n, point.f, k) / math.log(10.0)
 
 
-@dataclass(frozen=True)
-class CodeSizeResult:
-    """Odd code size reaching a target logical error (see
-    required_code_size)."""
-
-    n: int
-    eps_l_achieved: float
-
-
 def _run_end(n: int, delta: float, step: int) -> int:
     """The odd code size farthest from n in the direction of step (+2 or
     -2) whose failure threshold k is still n's; failure_threshold never
@@ -341,9 +332,8 @@ def _run_end(n: int, delta: float, step: int) -> int:
     return m
 
 
-def required_code_size(eps_l_target: float,
-                       point: OperatingPoint) -> CodeSizeResult:
-    """Odd code size n, found from the guess coeff * ln(1/eps_l), whose
+def required_code_size(eps_l_target: float, point: OperatingPoint) -> int:
+    """The odd code size n, found from the guess coeff * ln(1/eps_l), whose
     exact formula logical error tail(n) is at or below the target while
     tail(n - 2) is above it (or n = 1).
 
@@ -361,6 +351,7 @@ def required_code_size(eps_l_target: float,
     the optimal delta, eps_p = 0.007 and eps_l = 1e-15 give 26,321 where
     26,181 already reaches it, and eps_p = 0.005, eps_l = 1e-12 give
     7,705 against 7,689.  A different guess can return a different n.
+    The logical error reached is 10.0 ** log10_logical_error(n, point).
     """
     if not sys.float_info.min <= eps_l_target < 1.0:
         # a subnormal target overflows the guess's 1/eps_l
@@ -370,7 +361,7 @@ def required_code_size(eps_l_target: float,
     n = max(1, int(point.coefficient * math.log(1.0 / eps_l_target))) | 1
     while n > 1 and log10_logical_error(n - 2, point) <= log10_target:
         n = _run_end(n - 2, point.delta, -2)
-    while (log10_tail := log10_logical_error(n, point)) > log10_target:
+    while log10_logical_error(n, point) > log10_target:
         n = _run_end(n, point.delta, 2) + 2
-    return CodeSizeResult(n, 10.0 ** log10_tail)
+    return n
 

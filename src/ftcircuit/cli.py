@@ -12,6 +12,8 @@ import functools
 import json
 import sys
 
+import numpy as np
+
 from . import __version__, analytic, chi as chi_mod, noisy, resource, transform
 from .circuit import parse_circuit
 
@@ -133,19 +135,23 @@ def cmd_overhead(args) -> dict:
 
 
 def _parse_axis(spec: str) -> tuple[str, list[float]]:
-    """axis spec: name=lo:hi:steps[:log], with steps >= 1."""
+    """axis spec: name=lo:hi:steps[:log], with finite lo and hi, both
+    positive on a log axis, and steps >= 1."""
     name, _, rng = spec.partition("=")
     parts = rng.split(":")
     try:
         lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except (IndexError, ValueError):
         steps = 0
+    log = parts[3:] == ["log"]
+    floor = 0.0 if log else -np.inf
     if (name not in resource.GRID_AXES or len(parts) not in (3, 4)
-            or parts[3:] not in ([], ["log"]) or steps < 1):
-        raise ValueError(f"bad axis spec: {spec!r} "
-                         "(want name=lo:hi:steps[:log], steps >= 1)")
-    if parts[3:]:
-        import numpy as np
+            or parts[3:] not in ([], ["log"]) or steps < 1
+            or not (floor < lo < np.inf and floor < hi < np.inf)):
+        raise ValueError(f"bad axis spec: {spec!r} (want "
+                         "name=lo:hi:steps[:log], steps >= 1, finite bounds, "
+                         "positive on a log axis)")
+    if log:
         return name, list(np.geomspace(lo, hi, steps))
     return name, [lo + (hi - lo) * i / max(steps - 1, 1) for i in range(steps)]
 

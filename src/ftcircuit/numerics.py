@@ -9,7 +9,6 @@ against the golden-section window search before returning it.
 from __future__ import annotations
 
 import math
-import threading
 from typing import Callable
 
 import numpy as np
@@ -74,34 +73,29 @@ def _log_binom_terms(n: int, p: float, k: int, last: int) -> np.ndarray:
             + ks * math.log(p) + (n - ks) * math.log1p(-p))
 
 
-# gammaln(j + 1) at index j, final below _log_factorials_filled and
-# extended on demand under the lock; its pages become resident only as
-# they are filled
+# gammaln(j + 1) at index j, read-only once published; a call that needs
+# a longer table builds a new one, up to twice its need and at most the
+# cap, and swaps it in, so a reader never sees an entry being built.  Two
+# threads may race to swap; the loser's table is complete too, and a
+# shorter one swapped in last only costs a later rebuild
 _LOG_FACTORIAL_CAP = 1 << 17
-_log_factorial_table = np.empty(_LOG_FACTORIAL_CAP)
-_log_factorials_filled = 0
-_log_factorials_lock = threading.Lock()
+_log_factorial_table = np.empty(0)
+_log_factorial_table.flags.writeable = False
 
 
 def _log_factorials(lo: int, hi: int) -> np.ndarray:
     """gammaln(j + 1) for j = lo..hi: a view of the table below the cap,
     computed directly at or above it."""
-    global _log_factorials_filled
+    global _log_factorial_table
     if hi >= _LOG_FACTORIAL_CAP:
         return gammaln(np.arange(lo + 1.0, hi + 2.0))
-    if hi >= _log_factorials_filled:
-        with _log_factorials_lock:
-            filled = _log_factorials_filled
-            if hi >= filled:
-                # j + 1 for j = filled..hi, built in place (a float cumsum
-                # of ones is exact), so the fill makes no temporary array
-                new = _log_factorial_table[filled:hi + 1]
-                new.fill(1.0)
-                np.cumsum(new, out=new)
-                new += filled
-                gammaln(new, out=new)
-                _log_factorials_filled = hi + 1
-    return _log_factorial_table[lo:hi + 1]
+    table = _log_factorial_table
+    if hi >= table.size:
+        size = min(2 * (hi + 1), _LOG_FACTORIAL_CAP)
+        table = gammaln(np.arange(1.0, size + 1.0))
+        table.flags.writeable = False
+        _log_factorial_table = table
+    return table[lo:hi + 1]
 
 
 def binom_tail(n: int, p: float, k: int) -> float:

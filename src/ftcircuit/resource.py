@@ -158,29 +158,25 @@ def overhead_ratio(t: TailModel, eps_l: float, point: analytic.OperatingPoint,
     matching the constants-ratio convention W_P/(alpha A),
     W_P/(sqrt(2) sigma A), W_P/(A beta).
     """
-    _check_operating_point(eps_l, point.eps_p, chi)
-    size = analytic.required_code_size(eps_l, point)
-    return _overhead_report(t, eps_l, point, chi, size)
-
-
-def _check_operating_point(eps_l: float, eps_p: float, chi: float):
     if not 0.0 < chi <= 1.0:
         raise ValueError(f"chi must be in (0, 1], got {chi}")
-    if not 0.0 < eps_l < eps_p:
-        raise ValueError(
-            f"need 0 < eps_l < eps_p, got eps_l={eps_l}, eps_p={eps_p}")
+    if not 0.0 < eps_l < point.eps_p:
+        raise ValueError(f"need 0 < eps_l < eps_p, got eps_l={eps_l}, "
+                         f"eps_p={point.eps_p}")
+    n = analytic.required_code_size(eps_l, point)
+    return _overhead_report(t, eps_l, point, chi, n)
 
 
 def _overhead_report(t: TailModel, eps_l: float,
                      point: analytic.OperatingPoint, chi: float,
-                     size: analytic.CodeSizeResult) -> OverheadReport:
-    """overhead_ratio at a checked operating point whose code size is
+                     n: int) -> OverheadReport:
+    """overhead_ratio at a checked operating point whose code size n is
     already known."""
-    eta_number = (point.depth + 1) * size.n / chi
+    eta_number = (point.depth + 1) * n / chi
     eta_exact = t.w_p / _unit_resource(t, eps_l) * eta_number
     eta_asym = asymptotic_overhead(t, eps_l, point, chi)
     regime = REGIME_FT if eta_exact < 1.0 else REGIME_NON_FT
-    return OverheadReport(eta_exact, eta_asym, eta_number, size.n, regime)
+    return OverheadReport(eta_exact, eta_asym, eta_number, n, regime)
 
 
 @dataclass(frozen=True)
@@ -226,6 +222,8 @@ def phase_grid(t: TailModel, axis1: str, values1, axis2: str, values2,
     values2 = tuple(float(v) for v in values2)
     depth = int(fixed.get("depth", 2))
     chi = float(fixed.get("chi", 1.0))
+    if not 0.0 < chi <= 1.0:
+        raise ValueError(f"chi must be in (0, 1], got {chi}")
     delta = fixed.get("delta", "optimal")
 
     # one window per eps_p, and one operating point per eps_p with a valid
@@ -245,7 +243,6 @@ def phase_grid(t: TailModel, axis1: str, values1, axis2: str, values2,
                               if k in cell})
         if not window(eps_p).exists or eps_l >= eps_p:
             return invalid
-        _check_operating_point(eps_l, eps_p, chi)
         return _overhead_report(model, eps_l, point(eps_p), chi,
                                 size(eps_l, eps_p))
 

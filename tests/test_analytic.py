@@ -305,10 +305,10 @@ def test_normal_approximation_close_for_large_n():
 
 def test_required_code_size_minimal():
     point = fixed_points(2, 0.005).point()
-    res = required_code_size(1e-10, point)
-    assert res.n % 2 == 1
-    assert res.eps_l_achieved <= 1e-10
-    worse = 10 ** log10_logical_error(res.n - 2, point)
+    n = required_code_size(1e-10, point)
+    assert n % 2 == 1
+    assert 10.0 ** log10_logical_error(n, point) <= 1e-10
+    worse = 10 ** log10_logical_error(n - 2, point)
     assert worse > 1e-10
     assert abs(point.coefficient - 279) < 3
 
@@ -355,25 +355,26 @@ def test_required_code_size_matches_step_walk(depth, eps_p, where, eps_l):
         edge = window.delta_hi if where == "hi" else window.delta_lo
         delta = 0.5 * (delta + edge)
     n, achieved = step_walk_code_size(eps_l, depth, eps_p, delta)
-    res = required_code_size(eps_l, window.point(delta))
-    assert res.n == n
-    assert res.eps_l_achieved == pytest.approx(achieved, rel=1e-13, abs=0.0)
+    point = window.point(delta)
+    assert required_code_size(eps_l, point) == n
+    assert 10.0 ** log10_logical_error(n, point) == pytest.approx(
+        achieved, rel=1e-13, abs=0.0)
 
 
 def test_required_code_size_long_threshold_runs():
     # delta = 1e-8 keeps k = ceil(delta n) fixed over 5e7 odd n at a time
     point = fixed_points(2, 1e-9).point(1e-8)
-    res = required_code_size(1e-3, point)
-    assert res.n % 2 == 1
-    assert res.eps_l_achieved <= 1e-3
-    assert analytic.log10_logical_error(res.n - 2, point) > -3.0
+    n = required_code_size(1e-3, point)
+    assert n % 2 == 1
+    assert 10.0 ** log10_logical_error(n, point) <= 1e-3
+    assert analytic.log10_logical_error(n - 2, point) > -3.0
 
 
 def test_required_code_size_reaches_the_smallest_normal_target():
     point = fixed_points(2, 0.005).point()
-    res = required_code_size(sys.float_info.min, point)
-    assert res.n == 220_161
-    assert 0.0 < res.eps_l_achieved <= sys.float_info.min
+    n = required_code_size(sys.float_info.min, point)
+    assert n == 220_161
+    assert 0.0 < 10.0 ** log10_logical_error(n, point) <= sys.float_info.min
     for target in (sys.float_info.min / 2, 5e-324, 0.0, 1.0):
         with pytest.raises(ValueError, match="target must be in"):
             required_code_size(target, point)
@@ -381,7 +382,7 @@ def test_required_code_size_reaches_the_smallest_normal_target():
 
 def test_number_overhead():
     point = fixed_points(2, 0.005).point()
-    n = required_code_size(1e-10, point).n
+    n = required_code_size(1e-10, point)
     model = TailModel(EXPONENTIAL)
 
     def number_overhead(chi):

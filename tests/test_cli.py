@@ -387,6 +387,16 @@ def test_phase_rejects_bad_axis(capsys):
     assert "bad axis spec" in err
 
 
+@pytest.mark.parametrize("chi", ["5", "7"])
+def test_phase_refuses_chi_on_an_all_invalid_grid(capsys, chi):
+    # both eps_p lie above the depth-2 pseudothreshold, so no cell is valid
+    code, out, err = run_cli(
+        capsys, "phase", "--tail", "pareto", "--chi", chi,
+        "--axis1", "eps_p=0.02:0.03:2", "--axis2", "eps_l=1e-10:1e-9:2")
+    assert (code, out) == (1, "")
+    assert err == f"error: chi must be in (0, 1], got {float(chi)}\n"
+
+
 def test_phase_gamma_axis_needs_pareto(capsys):
     code, out, err = run_cli(
         capsys, "phase", "--tail", "gaussian", "--wp-ratio", "2e-4",
@@ -403,6 +413,9 @@ def test_phase_gamma_axis_needs_pareto(capsys):
     ("eps_p=0.005:0.007:-1", "eps_l=1e-20:1e-15:2:log"),
     ("eps_p=0.005:0.007:x", "eps_l=1e-20:1e-15:2:log"),
     ("eps_p=a:0.007:3", "eps_l=1e-20:1e-15:2:log"),
+    ("gamma=1:inf:2", "eps_l=1e-20:1e-15:2:log"),
+    ("eps_p=0.005:0.007:3", "eps_l=1e-20:inf:2"),
+    ("eps_p=0.005:0.007:3", "eps_l=0:1e-15:2:log"),
 ])
 def test_phase_rejects_unknown_scale_and_empty_axis(capsys, axis1, axis2):
     code, out, err = run_cli(
@@ -588,10 +601,6 @@ def test_config_false_and_null_leave_the_default(capsys, tmp_path):
       "--wp-ratio", "nan"], "w_p must be positive and finite, got nan"),
     (["overhead", "--tail", "pareto", "--eps-l", "1e-10",
       "--wp-ratio", "inf"], "w_p must be positive and finite, got inf"),
-    # the axis's first value, 1 + (inf - 1) * 0, is nan
-    (["phase", "--tail", "pareto", "--axis1", "gamma=1:inf:2",
-      "--axis2", "eps_l=1e-20:1e-15:2:log", "--eps-p", "0.005"],
-     "gamma must be positive and finite, got nan"),
 ])
 def test_non_finite_tail_constant_is_refused(capsys, argv, message):
     assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")

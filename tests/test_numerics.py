@@ -111,23 +111,21 @@ def test_log_factorials_are_gammaln(lo, hi):
     got = numerics._log_factorials(lo, hi)
     want = gammaln(np.arange(lo, hi + 1) + 1.0)
     assert got.tobytes() == want.tobytes()
-    # the table is filled in place and never grows past its cap
-    assert numerics._log_factorial_table.size == numerics._LOG_FACTORIAL_CAP
-    assert numerics._log_factorials_filled <= numerics._LOG_FACTORIAL_CAP
+    # the published table is read-only and never grows past its cap
+    assert not numerics._log_factorial_table.flags.writeable
+    assert numerics._log_factorial_table.size <= numerics._LOG_FACTORIAL_CAP
 
 
 def test_log_factorials_fill_is_safe_across_threads(monkeypatch):
-    # a fresh table filled by more threads than cores, each reading
+    # an empty table grown by more threads than cores, each reading
     # ranges that others are extending; no reader may see an entry that
     # is still being built
-    monkeypatch.setattr(numerics, "_log_factorial_table",
-                        np.empty(numerics._LOG_FACTORIAL_CAP))
-    monkeypatch.setattr(numerics, "_log_factorials_filled", 0)
+    monkeypatch.setattr(numerics, "_log_factorial_table", np.empty(0))
     want = gammaln(np.arange(1.0, 60_002.0))
     bad = []
 
     def reader(seed):
-        # each thread walks up in its own steps, so that most calls
+        # each thread walks up in its own steps, so that its calls
         # extend the table and read just below where others extend it
         for hi in range(seed, 60_000, 29 + seed):
             lo = max(0, hi - 64)

@@ -300,6 +300,16 @@ def test_phase_grid_marks_invalid_cells():
     assert math.isnan(grid.eta_exact[1][0])
 
 
+@pytest.mark.parametrize("chi", [5.0, 7.0])
+def test_phase_grid_refuses_chi_when_every_cell_is_invalid(chi):
+    # eps_p = 0.02 and 0.03 lie above the depth-2 pseudothreshold
+    model = TailModel(PARETO)
+    with pytest.raises(ValueError,
+                       match=rf"chi must be in \(0, 1\], got {chi}"):
+        phase_grid(model, "eps_p", [0.02, 0.03], "eps_l", [1e-10, 1e-9],
+                   {"chi": chi})
+
+
 def test_phase_grid_exponential_constant_along_eps_l():
     model = TailModel(EXPONENTIAL)
     grid = phase_grid(model, "eps_p", [0.005],
