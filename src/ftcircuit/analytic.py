@@ -30,26 +30,37 @@ def check_rate(name: str, value: float):
         raise ValueError(f"{name} must be in [0, 1/2), got {value}")
 
 
-def _layer(e: float, eps_p: float, fed_one: bool) -> float:
-    """Per-wire error after a noisy NAND layer whose inputs are each
-    wrong with probability e: eps_p + (1 - 2 eps_p) P(e), where P, the
-    chance the noiseless output is wrong, is 2e - e^2 when the inputs
-    encode 1 (either wrong input corrupts the output) and e^2 when they
-    encode 0 (both must be wrong); the output then flips with
-    probability eps_p."""
-    if fed_one:
-        return eps_p + (1.0 - 2.0 * eps_p) * (2.0 * e - e * e)
-    return eps_p + (1.0 - 2.0 * eps_p) * e * e
+def _layers(eps_p: float,
+            flags: tuple[bool, ...]) -> Callable[[float], float]:
+    """e -> the per-wire error after one noisy NAND layer per flag, the
+    first fed wires each wrong with probability e.  A layer maps e to
+    eps_p + (1 - 2 eps_p) P(e), where P, the chance the noiseless output
+    is wrong, is 2e - e^2 when its inputs encode 1 (flag True: either
+    wrong input corrupts the output) and e^2 when they encode 0 (both
+    must be wrong); the output then flips with probability eps_p.  The
+    closure runs every layer in one frame with q = 1 - 2 eps_p hoisted;
+    the association is part of its bits: eps_p + q * e * e rounds
+    (q e) e, and q (e e) would differ in the last bit at some e."""
+    q = 1.0 - 2.0 * eps_p
+
+    def run(e: float) -> float:
+        for fed_one in flags:
+            if fed_one:
+                e = eps_p + q * (2.0 * e - e * e)
+            else:
+                e = eps_p + q * e * e
+        return e
+    return run
 
 
-def _layer_slopes(e: float, eps_p: float,
+def _layer_slopes(e: float, q: float,
                   fed_one: bool) -> tuple[float, float, float]:
-    """(d/de, d2/de2, d/deps_p) of _layer at (e, eps_p)."""
+    """(d/de, d2/de2, d/deps_p) of one layer of _layers at e, with q =
+    1 - 2 eps_p."""
     if fed_one:
         p, p1, p2 = 2.0 * e - e * e, 2.0 - 2.0 * e, -2.0
     else:
         p, p1, p2 = e * e, 2.0 * e, 2.0
-    q = 1.0 - 2.0 * eps_p
     return q * p1, q * p2, 1.0 - 2.0 * p
 
 
@@ -65,26 +76,24 @@ def _ec_layers(depth: int) -> tuple[bool, ...]:
 def computation_error(e: float, eps_p: float) -> float:
     """Per-wire error after a noisy NAND layer whose inputs encode 1 and
     are each wrong with probability e."""
-    return _layer(e, eps_p, True)
+    return _layers(eps_p, (True,))(e)
 
 
 def ec_error(depth: int, eps_p: float, e: float) -> float:
     """Per-wire error after the D layers of a fan-out-1 error-correction
     block fed wires that encode 0 and are each wrong with probability e.
     """
-    for fed_one in _ec_layers(depth):
-        e = _layer(e, eps_p, fed_one)
-    return e
+    return _layers(eps_p, _ec_layers(depth))(e)
 
 
 def _stage_curve(depth: int, eps_p: float) -> Callable[[float], float]:
-    """The stage error curve delta -> f(delta) of (depth, eps_p), with
+    """The stage error curve delta -> f(delta) of (depth, eps_p): the
+    computation layer and the D EC layers in one closure of _layers, with
     depth and eps_p checked once for all its evaluations; delta is not
     checked."""
     check_depth(depth)
     check_rate("eps_p", eps_p)
-    return lambda delta: ec_error(depth, eps_p,
-                                  computation_error(delta, eps_p))
+    return _layers(eps_p, (True, *_ec_layers(depth)))
 
 
 def stage_error(depth: int, eps_p: float, delta: float) -> float:
@@ -192,17 +201,23 @@ def fixed_points(depth: int, eps_p: float) -> AmplificationWindow:
     return AmplificationWindow(depth, eps_p, True, lo, hi)
 
 
-def _stage_error_derivatives(depth: int, eps_p: float,
-                             delta: float) -> tuple[float, float, float, float]:
-    """(f, df/ddelta, d2f/ddelta2, df/deps_p) of stage_error, by the
-    forward chain rule through the layers of stage_error; f is
-    stage_error's own value."""
-    e, d1, d2, d_eps = delta, 1.0, 0.0, 0.0
-    for fed_one in (True, *_ec_layers(depth)):
-        s1, s2, s_eps = _layer_slopes(e, eps_p, fed_one)
-        d1, d2, d_eps = s1 * d1, s2 * d1 * d1 + s1 * d2, s_eps + s1 * d_eps
-        e = _layer(e, eps_p, fed_one)
-    return e, d1, d2, d_eps
+def _stage_error_derivatives(depth: int, eps_p: float) -> Callable:
+    """delta -> (f, df/ddelta, d2f/ddelta2, df/deps_p) of the stage error
+    curve of (depth, eps_p), by the forward chain rule through its layers;
+    f is the curve's own value.  q and each layer's one-layer closure of
+    _layers are bound once for all its evaluations."""
+    q = 1.0 - 2.0 * eps_p
+    walk = tuple((fed_one, _layers(eps_p, (fed_one,)))
+                 for fed_one in (True, *_ec_layers(depth)))
+
+    def jet(delta: float) -> tuple[float, float, float, float]:
+        e, d1, d2, d_eps = delta, 1.0, 0.0, 0.0
+        for fed_one, layer in walk:
+            s1, s2, s_eps = _layer_slopes(e, q, fed_one)
+            d1, d2, d_eps = s1 * d1, s2 * d1 * d1 + s1 * d2, s_eps + s1 * d_eps
+            e = layer(e)
+        return e, d1, d2, d_eps
+    return jet
 
 
 # Newton iterations allowed to each of the tangency solves, and the step
@@ -218,7 +233,8 @@ def _tangency(depth: int, eps_p: float,
     of f(delta) - delta.  Newton on f' = 1; a step that would leave
     (0, 1/2) or the convex part of f is halved.  None when the start is
     not convex or the solve does not converge."""
-    f, d1, d2, d_eps = _stage_error_derivatives(depth, eps_p, delta)
+    jet = _stage_error_derivatives(depth, eps_p)
+    f, d1, d2, d_eps = jet(delta)
     if not d2 > 0.0:
         return None
     for _ in range(_NEWTON_ITERATIONS):
@@ -227,14 +243,14 @@ def _tangency(depth: int, eps_p: float,
             return delta, f, d_eps
         for _ in range(60):  # halvings before the solve gives up
             if 0.0 < delta - step < 0.5:
-                jet = _stage_error_derivatives(depth, eps_p, delta - step)
-                if jet[2] > 0.0:
+                moved = jet(delta - step)
+                if moved[2] > 0.0:
                     break
             step *= 0.5
         else:
             return None
         delta -= step
-        f, d1, d2, d_eps = jet
+        f, d1, d2, d_eps = moved
     return None
 
 

@@ -204,7 +204,8 @@ def phase_grid(t: TailModel, axis1: str, values1, axis2: str, values2,
     gamma there overrides the model's) and may not hold an axis; eps_p
     and eps_l must each be fixed or an axis, and delta may be "optimal".
     Cells where the amplification window of eps_p does not exist, or
-    eps_l >= eps_p, are marked invalid with eta = nan.
+    eps_l >= eps_p, are marked invalid with eta = nan; an eps_l <= 0,
+    like a chi outside (0, 1], is refused before any cell.
     """
     for axis in (axis1, axis2):
         if axis not in GRID_AXES:
@@ -224,6 +225,11 @@ def phase_grid(t: TailModel, axis1: str, values1, axis2: str, values2,
     chi = float(fixed.get("chi", 1.0))
     if not 0.0 < chi <= 1.0:
         raise ValueError(f"chi must be in (0, 1], got {chi}")
+    axes = {axis1: values1, axis2: values2}
+    for eps_l in (axes["eps_l"] if "eps_l" in axes
+                  else (float(fixed["eps_l"]),)):
+        if not eps_l > 0.0:
+            raise ValueError(f"eps_l must be > 0, got {eps_l}")
     delta = fixed.get("delta", "optimal")
 
     # one window per eps_p, and one operating point per eps_p with a valid

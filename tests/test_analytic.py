@@ -180,7 +180,7 @@ def test_stage_error_derivatives_match_central_differences(depth):
     for eps_p in (0.001, 0.005, 0.02, 0.04):
         for delta in (0.01, 0.07, 0.2, 0.3, 0.45):
             value, d1, d2, d_eps = analytic._stage_error_derivatives(
-                depth, eps_p, delta)
+                depth, eps_p)(delta)
             assert value == f(eps_p, delta)
             h = 1e-6
             assert d1 == pytest.approx(
@@ -193,6 +193,34 @@ def test_stage_error_derivatives_match_central_differences(depth):
             assert d2 == pytest.approx(
                 (f(eps_p, delta + h) - 2.0 * f(eps_p, delta)
                  + f(eps_p, delta - h)) / (h * h), rel=1e-4, abs=1e-6)
+
+
+def _oracle_layer(e, eps_p, fed_one):
+    # one layer without q hoisted, rounding (q e) e when fed 0
+    if fed_one:
+        return eps_p + (1.0 - 2.0 * eps_p) * (2.0 * e - e * e)
+    return eps_p + (1.0 - 2.0 * eps_p) * e * e
+
+
+def test_layer_association_is_pinned():
+    # a fed-0 layer that rounded q (e e) instead of (q e) e changes the
+    # last bit of the stage error at about one of these points in ten;
+    # == catches it
+    rng = np.random.default_rng(20240)
+    for _ in range(10_000):
+        depth = int(rng.choice([2, 4, 6, 8, 10]))
+        eps_p, delta = rng.uniform(0.0, 0.5, 2)
+        eps_p, delta = float(eps_p), float(delta)
+        comp = _oracle_layer(delta, eps_p, True)
+        ec, stage = delta, comp
+        for layer in range(1, depth + 1):
+            ec = _oracle_layer(ec, eps_p, layer % 2 == 0)
+            stage = _oracle_layer(stage, eps_p, layer % 2 == 0)
+        assert analytic.computation_error(delta, eps_p) == comp
+        assert analytic.ec_error(depth, eps_p, delta) == ec
+        assert stage_error(depth, eps_p, delta) == stage
+        assert analytic._stage_error_derivatives(
+            depth, eps_p)(delta)[0] == stage
 
 
 def test_pseudothreshold_ordering():

@@ -258,12 +258,25 @@ FORMULA_STDOUT = json.loads(
     (Path(__file__).parent / "formula_stdout.json").read_text())
 
 
+def _record_ids(records):
+    """Each record's first three arguments, or its whole argv when an
+    earlier record already took those three."""
+    ids, seen = [], set()
+    for record in records:
+        words = [a.lstrip("-") for a in record["argv"]]
+        short = "-".join(words[:3])
+        ids.append("-".join(words) if short in seen else short)
+        seen.add(short)
+    return ids
+
+
 @pytest.mark.parametrize("record", FORMULA_STDOUT,
-                         ids=lambda r: "-".join(a.lstrip("-")
-                                                for a in r["argv"][:3]))
+                         ids=_record_ids(FORMULA_STDOUT))
 def test_formula_layer_stdout_is_recorded(capsys, record):
     # phase, analyze, threshold and overhead stdout as recorded before the
-    # binomial tail read its log-factorials from a table; every float must
+    # binomial tail read its log-factorials from a table, and analyze at
+    # D = 2..8 with threshold at D = 10, 12, 20 as recorded before the
+    # stage error curve ran its layers in one closure; every float must
     # match to the last digit.  The axes are linear or 2-point log, whose
     # values are exact
     code, out, _ = run_cli(capsys, *record["argv"])
@@ -349,6 +362,14 @@ def test_phase_without_eps_l_is_an_error(capsys):
         "--axis1", "eps_p=0.005:0.006:2", "--axis2", "w_p=1:10:2")
     assert (code, out) == (1, "")
     assert err == "error: eps_l must be fixed or a grid axis\n"
+
+
+def test_phase_refuses_eps_l_of_zero_by_name(capsys):
+    code, out, err = run_cli(
+        capsys, "phase", "--tail", "pareto", "--eps-p", "0.005",
+        "--axis1", "w_p=100:300:2", "--axis2", "eps_l=0:1e-10:2")
+    assert (code, out) == (1, "")
+    assert err == "error: eps_l must be > 0, got 0.0\n"
 
 
 def test_phase_without_eps_p_is_an_error(capsys):

@@ -310,6 +310,23 @@ def test_phase_grid_refuses_chi_when_every_cell_is_invalid(chi):
                    {"chi": chi})
 
 
+@pytest.mark.parametrize("axis2, values2, fixed", [
+    ("eps_l", [0.0, 1e-10], {}),
+    ("eps_l", [1e-10, -1e-12], {}),
+    ("w_p", [100.0, 300.0], {"eps_l": 0.0}),
+])
+def test_phase_grid_refuses_eps_l_at_or_below_zero(monkeypatch, axis2,
+                                                   values2, fixed):
+    # refused by name before any cell, not by the code-size search
+    def no_search(*args):
+        raise AssertionError("the code-size search was reached")
+
+    monkeypatch.setattr(analytic, "required_code_size", no_search)
+    with pytest.raises(ValueError, match="eps_l must be > 0, got "):
+        phase_grid(TailModel(PARETO), "eps_p", [0.005], axis2, values2,
+                   {"chi": 0.47, **fixed})
+
+
 def test_phase_grid_exponential_constant_along_eps_l():
     model = TailModel(EXPONENTIAL)
     grid = phase_grid(model, "eps_p", [0.005],
