@@ -21,12 +21,13 @@ of one n-wire bundle (2^n states).  A NAND layer is the pushforward
 out_i = 1 - (v_a & v_b), the gate that the circuit evaluator and Monte
 Carlo apply; every NAND layer flips the value the bundle encodes, and
 the wrong-wire count is read against that value at the end.  i.i.d.
-output noise is an XOR convolution, applied one wire at a time as the
-positive mixture p <- (1 - eps) p + eps p[wire flipped], so that small
-tails keep their relative accuracy.
+output noise is an XOR convolution, applied a few wires at a time as one
+product with their flip matrix, whose entries are all nonnegative, so
+that small tails keep their relative accuracy.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -46,8 +47,8 @@ EXACT_ENGINE_CAP = 15
 RING_FRONTIER_CAP = 4
 """Largest frontier (sum of the EC offsets, in bits) of the ring engine.
 Its cost grows as 8^F: at n = 15 on a 2-core x86 machine, F = 4 (unit
-D = 4) took 0.6 ms against 5 ms on the 2^n engine, F = 6 (unit D = 6)
-8.5 ms against 6.6 ms."""
+D = 4) took 0.3 ms against 1.2-1.4 ms on the 2^n engine, F = 6 (unit
+D = 6) 4.7-6.1 ms against 1.7 ms."""
 
 
 class ExactEngineError(CircuitError):
@@ -165,28 +166,30 @@ def _bit_sums(weights) -> np.ndarray:
     return out
 
 
-def _mix_flips(x: np.ndarray, eps_p: float, runs: list[int]) -> np.ndarray:
-    """For each run length r in turn, x <- (1 - eps_p) x + eps_p x[flip],
-    where the flip swaps neighbouring runs of r entries.  Overwrites x."""
-    out = np.empty_like(x)
-    flipped = np.empty_like(x)
-    for r in runs:
-        pairs = x.reshape(-1, 2, r)
-        np.multiply(pairs, 1.0 - eps_p, out=out.reshape(pairs.shape))
-        np.multiply(pairs[:, ::-1, :], eps_p, out=flipped.reshape(pairs.shape))
-        out += flipped
-        x, out = out, x
-    return x
+# wires mixed per noise step: the noise on n = 11..15 wires took 17, 15, 30,
+# 49 and 84 us at 4, 21, 17, 31, 49 and 76 at 3, 13, 19, 28, 51 and 190 at
+# 5 (a BLAS slow path); an exact-engine benchmark round takes the same at 3
+# and 4 (2-core x86, OpenBLAS 0.3.31, one thread)
+_NOISE_WIRES = 4
+
+
+@functools.lru_cache(maxsize=32)
+def _noise_kernel(k: int, eps_p: float) -> np.ndarray:
+    """The i.i.d. flip matrix of k wires (read-only, as it is shared)."""
+    flip = np.array([[1.0 - eps_p, eps_p], [eps_p, 1.0 - eps_p]])
+    mix = functools.reduce(np.kron, [flip] * k)
+    mix.flags.writeable = False
+    return mix
 
 
 class BundleState:
-    """Joint law of the wire values of an n-wire bundle: state s sets
-    wire i to (s >> i) & 1.
+    """Joint law of an n-wire bundle: state s sets wire i to (s >> i) & 1.
 
     Index arrays take O(2^n) work, built by doubling over the bits
     (_bit_sums): the popcount, and a NAND layer's pushforward index,
     the complement of (the state's bits moved to the outputs that read
-    them as first input) & (the same for the second input)."""
+    them as first input) & (the same for the second input).  The noise
+    step is one small matrix product per group of _NOISE_WIRES wires."""
 
     def __init__(self, n: int, probs: np.ndarray):
         if probs.shape != (_state_size(n),):
@@ -212,18 +215,14 @@ class BundleState:
 
     def apply_noise(self, eps_p: float):
         """XOR-convolve with i.i.d. Bernoulli(eps_p) flips on every wire:
-        for each wire k, p <- (1 - eps_p) p + eps_p p[k flipped]."""
+        each step mixes the top k wires by a product with their flip matrix
+        (nonnegative) and moves them to the bottom; the k sum to n."""
         if eps_p == 0.0:
             return
-        # the low wires are mixed on a transposed copy, where state
-        # hi 2^low + lo sits at lo 2^m + hi: the states that a flip of a
-        # low wire pairs then form long contiguous runs
-        low = self.n // 2
-        m = self.n - low
-        x = self.probs.reshape(1 << m, 1 << low).T.copy().reshape(-1)
-        x = _mix_flips(x, eps_p, [1 << (m + k) for k in range(low)])
-        x = x.reshape(1 << low, 1 << m).T.copy().reshape(-1)
-        self.probs = _mix_flips(x, eps_p, [1 << k for k in range(low, self.n)])
+        for done in range(0, self.n, _NOISE_WIRES):
+            k = min(_NOISE_WIRES, self.n - done)
+            self.probs = (self.probs.reshape(1 << k, -1).T
+                          @ _noise_kernel(k, eps_p)).reshape(-1)
 
     def apply_wiring_layer(self, offsets: tuple[tuple[int, int], ...]):
         """Push forward through one NAND layer; output wire i is the NAND
@@ -293,7 +292,8 @@ def _ring_offsets(params: FtParams, wiring: str,
     return offsets if sum(offsets) <= RING_FRONTIER_CAP else None
 
 
-def _ring_transfer(offsets: list[int], eps_p: float,
+@functools.lru_cache(maxsize=32)
+def _ring_transfer(offsets: tuple[int, ...], eps_p: float,
                    p_one: float) -> np.ndarray:
     """The one-wire step of the ring scan: entry [s, z 2^F + s'] is the
     weight of moving from frontier s to frontier s' over a wire whose
@@ -321,9 +321,11 @@ def _ring_transfer(offsets: list[int], eps_p: float,
         value = (1 - (value & (reg >> (off - 1)))) ^ flip
         base += off
     index = (2 * state + value) * size + after
-    return np.bincount(index.ravel(),
+    step = np.bincount(index.ravel(),
                        weights=np.broadcast_to(weight, index.shape).ravel(),
                        minlength=2 * size * size).reshape(size, 2 * size)
+    step.flags.writeable = False  # every n at one input shares it
+    return step
 
 
 def _ring_count_law(n: int, offsets: list[int], eps_p: float,
@@ -342,10 +344,8 @@ def _ring_count_law(n: int, offsets: list[int], eps_p: float,
     weight w, each q[k] is rescaled by a power of two (exact) to a
     maximum in [1/2, 1), so deep tails neither underflow nor lose
     digits; a zero q[k] takes the scale of the q below it."""
-    step = _ring_transfer(offsets, eps_p, p_one)
+    step = _ring_transfer(tuple(offsets), eps_p, p_one)
     size = step.shape[0]
-    # w^every >= 2^-500 for the smallest positive weight w keeps the
-    # weights between rescalings far inside float64's normal range
     bits = max(1.0, -math.log2(step[step > 0].min()))
     every = max(1, min(32, int(500 / bits)))
     q = np.zeros((n + 1, size, size))

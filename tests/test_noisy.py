@@ -504,6 +504,19 @@ def test_error_estimate_invariants():
         ErrorEstimate(0.5, 0.6, 0.7, "exact")
 
 
+def _fraction_noise(law, eps):
+    """The XOR convolution of a law over 2^n states with i.i.d.
+    Bernoulli(eps) flips of every wire, exact: over one common
+    denominator, the products and sums run on integers."""
+    n = len(law).bit_length() - 1
+    flips = [eps ** k * (1 - eps) ** (n - k) for k in range(n + 1)]
+    den = math.lcm(*(x.denominator for x in [*law, *flips]))
+    num = [int(x * den) for x in law]
+    weight = [int(flips[bin(f).count("1")] * den) for f in range(len(law))]
+    return [Fraction(sum(num[s ^ f] * w for f, w in enumerate(weight)),
+                     den * den) for s in range(len(law))]
+
+
 def _fraction_block_law(n, depth, eps_p, delta, block="gadget",
                         wiring="offset-doubling", stages=1):
     """Wrong-count law at the output of a gadget chain (or a bare EC
@@ -519,10 +532,6 @@ def _fraction_block_law(n, depth, eps_p, delta, block="gadget",
     def weight(bits, p):
         k = bin(bits).count("1")
         return p ** k * (1 - p) ** (n - k)
-
-    def noise(law):
-        return [sum(law[s ^ f] * weight(f, eps) for f in range(size))
-                for s in range(size)]
 
     def nand(either, a, b):
         return a | b if either else a & b
@@ -540,7 +549,7 @@ def _fraction_block_law(n, depth, eps_p, delta, block="gadget",
             for s, p in enumerate(probs):
                 for t, q in enumerate(probs):
                     combined[nand(either, s, t)] += p * q
-            probs = noise(combined)
+            probs = _fraction_noise(combined, eps)
             either = not either
         for layer in range(1, depth + 1):
             off = (1 << (layer - 1) if wiring == "offset-doubling" else 1) % n
@@ -551,7 +560,7 @@ def _fraction_block_law(n, depth, eps_p, delta, block="gadget",
                     a, b = (s >> i) & 1, (s >> ((i - off) % n)) & 1
                     t |= nand(either, a, b) << i
                 wired[t] += p
-            probs = noise(wired)
+            probs = _fraction_noise(wired, eps)
             either = not either
     law = [Fraction(0)] * (n + 1)
     for s, p in enumerate(probs):
@@ -644,20 +653,38 @@ def test_wiring_layer_matches_enumeration(wiring):
                                           err_msg=f"n={n} l={layer}")
 
 
+def _per_wire_mixing(probs, n, eps):
+    want = probs.copy()
+    for k in range(n):
+        for s in range(1 << n):
+            if not (s >> k) & 1:
+                lo, hi = want[s], want[s | 1 << k]
+                want[s] = (1.0 - eps) * lo + eps * hi
+                want[s | 1 << k] = (1.0 - eps) * hi + eps * lo
+    return want
+
+
 def test_noise_matches_per_wire_mixing():
-    # the transposed layout does the per-wire mixing's arithmetic
-    eps = 0.005
+    # n below, at and past the wires of one noise step, and n that is not
+    # a multiple of them; the grouped step and the per-wire mixing both
+    # stay within a relative 1e-14 of the exact convolution in every
+    # entry, down to entries near 1e-250
     for n in range(1, 10):
-        state = _random_state(n, n)
-        want = state.probs.copy()
-        for k in range(n):
-            for s in range(1 << n):
-                if not (s >> k) & 1:
-                    lo, hi = want[s], want[s | 1 << k]
-                    want[s] = (1.0 - eps) * lo + eps * hi
-                    want[s | 1 << k] = (1.0 - eps) * hi + eps * lo
-        state.apply_noise(eps)
-        np.testing.assert_array_equal(state.probs, want, err_msg=f"n={n}")
+        spread = np.random.default_rng(n).permutation(
+            np.logspace(-250, 0, 1 << n))
+        for eps, probs in ((0.005, _random_state(n, n).probs),
+                           (0.005, spread),
+                           (0.4999, _random_state(n, 50 + n).probs)):
+            want = _fraction_noise([Fraction(p) for p in probs],
+                                   Fraction(eps))
+            state = BundleState(n, probs.copy())
+            state.apply_noise(eps)
+            for got in (state.probs, _per_wire_mixing(probs, n, eps)):
+                err = max(abs(Fraction(g) / w - 1) for g, w in zip(got, want))
+                assert float(err) <= 1e-14, (n, eps)
+        state = BundleState(n, spread.copy())
+        state.apply_noise(0.0)
+        np.testing.assert_array_equal(state.probs, spread)
 
 
 def test_popcount_matches_enumeration():
@@ -727,6 +754,20 @@ def test_ring_engine_predicate():
                                "offset-doubling", 1) is None
     assert noisy._ring_offsets(FtParams(2, 2, 0.005, 0.058),
                                "offset-doubling", 1) is None
+
+
+def test_ring_step_is_cached_read_only():
+    # every n at one input shares the step, so no caller may write it
+    args = ((1, 2), 0.005, 0.01)
+    step = noisy._ring_transfer(*args)
+    assert noisy._ring_transfer(*args) is step
+    assert not step.flags.writeable
+    with pytest.raises(ValueError):
+        step[0, 0] = 1.0
+    fresh = noisy._ring_transfer.__wrapped__(*args)
+    assert fresh.tobytes() == step.tobytes()
+    laws = [noisy._ring_count_law(9, [1, 2], 0.005, 0.01) for _ in range(2)]
+    assert laws[0].tobytes() == laws[1].tobytes()
 
 
 @pytest.mark.parametrize("n", [17, 21])
