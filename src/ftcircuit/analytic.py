@@ -330,43 +330,32 @@ def log10_logical_error(n: int, point: OperatingPoint) -> float:
     return log_binom_tail(n, point.f, k) / math.log(10.0)
 
 
-def _run_end(n: int, delta: float, step: int) -> int:
-    """The odd code size farthest from n in the direction of step (+2 or
-    -2) whose failure threshold k is still n's; failure_threshold never
-    falls as n grows, so the sizes between share k too."""
-    k = failure_threshold(n, delta)
-    # start from the real bounds (k - 1)/delta < m <= k/delta; the
-    # float product in failure_threshold settles the last bit
-    if step > 0:
-        m = max(n, (int(k / delta) - 1) | 1)
-    else:
-        m = min(n, int((k - 1) / delta) | 1)
-    while failure_threshold(m, delta) != k:
-        m -= step
-    while m + step >= 1 and failure_threshold(m + step, delta) == k:
-        m += step
-    return m
+def _run_start(k: int, delta: float) -> int:
+    """The first odd n whose failure threshold is k or more, for k >= 1."""
+    # start from the real bound n > (k - 1)/delta; the float product in
+    # failure_threshold settles the last bit
+    n = int((k - 1) / delta) | 1
+    while failure_threshold(n, delta) < k:
+        n += 2
+    return n
 
 
 def required_code_size(eps_l_target: float, point: OperatingPoint) -> int:
-    """The odd code size n, found from the guess coeff * ln(1/eps_l), whose
-    exact formula logical error tail(n) is at or below the target while
-    tail(n - 2) is above it (or n = 1).
+    """The odd code size n whose exact formula logical error tail(n) is at
+    or below the target while tail(n - 2) is above it (or n = 1).
 
     The tail is a sawtooth in n: it rises while k = ceil(delta n) holds
-    still and drops at each step of k, so several n can qualify.  The
-    search walks down from the guess (made odd) while tail(n - 2)
-    passes, then up until tail(n) passes, and returns the n where it
-    stops.  Within a run of odd n sharing k the tail rises with n, so a
-    passing n vouches for every smaller n of its run and a failing n for
-    every larger one: the walk crosses one threshold run per tail
-    evaluation and stops where a step-by-step walk would.
+    still and drops at each step of k, so only the first odd n of a
+    threshold run can be the smallest that passes.  The search checks
+    n = 1, doubles k from that of the guess coeff * ln(1/eps_l) until the
+    run start passes, and bisects between the last failing k and it; the
+    run of k - 1 ends at n - 2 and its start fails, so tail(n - 2) does.
 
-    Which qualifying n it returns depends on where the guess lands, and
-    it need not be the smallest n that reaches the target: at D = 2 and
-    the optimal delta, eps_p = 0.007 and eps_l = 1e-15 give 26,321 where
-    26,181 already reaches it, and eps_p = 0.005, eps_l = 1e-12 give
-    7,705 against 7,689.  A different guess can return a different n.
+    n is the smallest that reaches the target whenever run-start tails
+    fall with k, as at every optimal delta checked.  Nearer the upper
+    window edge they need not: at D = 2, eps_p = 0.005, eps_l = 1e-6, delta
+    three quarters of the way from the optimum to delta_hi this returns
+    26,335 where 26,299 already reaches the target.
     The logical error reached is 10.0 ** log10_logical_error(n, point).
     """
     if not sys.float_info.min <= eps_l_target < 1.0:
@@ -374,10 +363,21 @@ def required_code_size(eps_l_target: float, point: OperatingPoint) -> int:
         raise ValueError(f"target must be in [{sys.float_info.min!r}, 1), "
                          f"got {eps_l_target}")
     log10_target = math.log10(eps_l_target)
-    n = max(1, int(point.coefficient * math.log(1.0 / eps_l_target))) | 1
-    while n > 1 and log10_logical_error(n - 2, point) <= log10_target:
-        n = _run_end(n - 2, point.delta, -2)
-    while log10_logical_error(n, point) > log10_target:
-        n = _run_end(n, point.delta, 2) + 2
-    return n
 
+    def passes(k: int) -> bool:
+        return (log10_logical_error(_run_start(k, point.delta), point)
+                <= log10_target)
+
+    if passes(1):
+        return 1
+    guess = int(point.coefficient * math.log(1.0 / eps_l_target))
+    fail, k = 1, failure_threshold(guess, point.delta)
+    while not passes(k):
+        fail, k = k, 2 * k
+    while k - fail > 1:
+        mid = (fail + k) // 2
+        if passes(mid):
+            k = mid
+        else:
+            fail = mid
+    return _run_start(k, point.delta)

@@ -4,7 +4,6 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
 
 from ftcircuit import analytic
 from ftcircuit.analytic import (fixed_points, log10_logical_error,
@@ -13,7 +12,7 @@ from ftcircuit.analytic import (fixed_points, log10_logical_error,
                                 stage_error_depth2_closed_form)
 from ftcircuit.numerics import bisect, ols_fit
 from ftcircuit.resource import EXPONENTIAL, TailModel, overhead_ratio
-from test_numerics import log_binom_terms
+from test_numerics import full_log_tail, log_binom_terms
 
 EVANS_PIPPENGER = (3.0 - math.sqrt(7.0)) / 4.0
 
@@ -341,30 +340,40 @@ def test_required_code_size_minimal():
     assert abs(point.coefficient - 279) < 3
 
 
-def step_walk_code_size(eps_l: float, depth: int, eps_p: float,
-                        delta: float) -> tuple[int, float]:
-    """The step-by-step search: a +-2 walk from the ln(1/eps_l) guess,
-    one full tail sum over k..n per candidate n."""
+def smallest_code_size(eps_l: float, depth: int, eps_p: float,
+                       delta: float) -> tuple[int, float]:
+    """The smallest odd n whose tail reaches eps_l, and that tail, by a
+    step-by-step walk up from n = 1: each odd n where k = ceil(delta n)
+    steps up starts a threshold run and gets one full tail sum over k..n,
+    unless its term at k alone already exceeds eps_l.  Within a run the
+    tail rises with n, so no other n can be the first to pass."""
     f = stage_error(depth, eps_p, delta)
-
-    def log10_tail(n: int) -> float:
+    target = math.log(eps_l)
+    n, run_k = 1, 0
+    while True:
         k = max(math.ceil(delta * n), 1)
-        terms = log_binom_terms(n, f, np.arange(k, n + 1))
-        return float(logsumexp(terms)) / math.log(10.0)
-
-    target = math.log10(eps_l)
-    coeff = 2.0 * f * (1.0 - f) / (f - delta) ** 2
-    guess = max(1, int(coeff * math.log(1.0 / eps_l)))
-    n = guess if guess % 2 == 1 else guess + 1
-    while n > 1 and log10_tail(n - 2) <= target:
-        n -= 2
-    while log10_tail(n) > target:
+        if k > run_k and log_binom_terms(n, f, k) <= target:
+            tail = full_log_tail(n, f, k)
+            if tail <= target:
+                return n, math.exp(tail)
+        run_k = k
         n += 2
-    return n, 10.0 ** log10_tail(n)
+
+
+def window_delta(depth: int, eps_p: float, where: str,
+                 fraction: float = 0.5) -> float:
+    """The optimal delta ("opt"), or the delta the fraction of the way
+    from it to the window's upper ("hi") or lower ("lo") edge."""
+    window = fixed_points(depth, eps_p)
+    delta = window.point().delta
+    if where == "opt":
+        return delta
+    edge = window.delta_hi if where == "hi" else window.delta_lo
+    return delta + fraction * (edge - delta)
 
 
 # (depth, eps_p, delta: the optimum or the midpoint toward a window edge,
-# eps_l); n runs from 261 to 5,933
+# eps_l); n runs from 261 to 5,869
 STEP_WALK_POINTS = [
     (2, 0.002, "opt", 1e-12), (2, 0.002, "hi", 1e-12),
     (2, 0.002, "lo", 1e-6), (2, 0.005, "opt", 1e-6),
@@ -377,25 +386,52 @@ STEP_WALK_POINTS = [
 
 @pytest.mark.parametrize("depth,eps_p,where,eps_l", STEP_WALK_POINTS)
 def test_required_code_size_matches_step_walk(depth, eps_p, where, eps_l):
-    window = fixed_points(depth, eps_p)
-    delta = window.point().delta
-    if where != "opt":
-        edge = window.delta_hi if where == "hi" else window.delta_lo
-        delta = 0.5 * (delta + edge)
-    n, achieved = step_walk_code_size(eps_l, depth, eps_p, delta)
-    point = window.point(delta)
+    delta = window_delta(depth, eps_p, where)
+    n, achieved = smallest_code_size(eps_l, depth, eps_p, delta)
+    point = fixed_points(depth, eps_p).point(delta)
     assert required_code_size(eps_l, point) == n
     assert 10.0 ** log10_logical_error(n, point) == pytest.approx(
         achieved, rel=1e-13, abs=0.0)
 
 
-def test_required_code_size_long_threshold_runs():
-    # delta = 1e-8 keeps k = ceil(delta n) fixed over 5e7 odd n at a time
-    point = fixed_points(2, 1e-9).point(1e-8)
-    n = required_code_size(1e-3, point)
+# D = 2 at the optimal delta: (eps_p, eps_l, the smallest n); a target
+# above f is met by n = 1
+SMALLEST_CODE_SIZES = [
+    (0.005, 1e-6, 3_465), (0.005, 1e-10, 6_275), (0.005, 1e-12, 7_689),
+    (0.005, 1e-15, 9_809), (0.006, 1e-6, 5_447), (0.006, 1e-15, 15_363),
+    (0.007, 1e-6, 9_323), (0.007, 1e-20, 35_643), (0.005, 0.05, 1),
+]
+
+
+@pytest.mark.parametrize("eps_p,eps_l,n", SMALLEST_CODE_SIZES)
+def test_required_code_size_is_the_smallest(eps_p, eps_l, n):
+    point = fixed_points(2, eps_p).point()
+    assert smallest_code_size(eps_l, 2, eps_p, point.delta)[0] == n
+    assert required_code_size(eps_l, point) == n
+
+
+def test_required_code_size_near_the_upper_window_edge():
+    # run-start tails need not fall with k between the optimum and
+    # delta_hi, so the bisection over k may pass the smallest n (26,299
+    # here); the n it returns still ends a failing n - 2
+    delta = window_delta(2, 0.005, "hi", 0.75)
+    point = fixed_points(2, 0.005).point(delta)
+    n = required_code_size(1e-6, point)
     assert n % 2 == 1
-    assert 10.0 ** log10_logical_error(n, point) <= 1e-3
-    assert analytic.log10_logical_error(n - 2, point) > -3.0
+    assert log10_logical_error(n, point) <= -6.0
+    assert log10_logical_error(n - 2, point) > -6.0
+
+
+def test_required_code_size_long_threshold_runs():
+    # delta = 1e-8 keeps k = ceil(delta n) fixed over 5e7 odd n at a
+    # time; f = 3.0e-9 is below 1e-3, so n = 1 reaches it, and 1e-9 is
+    # first reached where k steps up to 35
+    point = fixed_points(2, 1e-9).point(1e-8)
+    assert required_code_size(1e-3, point) == 1
+    n = required_code_size(1e-9, point)
+    assert n == 3_400_000_001
+    assert 10.0 ** log10_logical_error(n, point) <= 1e-9
+    assert log10_logical_error(n - 2, point) > -9.0
 
 
 def test_required_code_size_reaches_the_smallest_normal_target():

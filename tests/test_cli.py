@@ -669,7 +669,7 @@ def test_readme_python_example_runs(capsys):
     assert len(printed) == 4
     assert float(printed[0]) == pytest.approx(0.0580, abs=1e-4)
     assert float(printed[1]) == pytest.approx(278.8, abs=0.1)
-    assert printed[2] == "7705"
+    assert printed[2] == "7689"
     assert 0.0 < float(printed[3]) < 1.0
 
 

@@ -595,7 +595,7 @@ def test_exact_law_matches_fraction_oracle(request, n, block, wiring,
         request.applymarker(pytest.mark.xfail(
             strict=True, reason="the combine of two encoded-1 bundles "
             "subtracts superset sums near 1; the all-wrong tail (2.6e-4) "
-            "is off by a relative 1.4e-12"))
+            "is off by a relative 4.36e-12"))
     p = FtParams(n, 2, 0.005, 0.058)
     dist = exact_stage_error(p, block, wiring, stages)
     law = _fraction_block_law(n, 2, 0.005, 0.058, block, wiring, stages)
