@@ -85,6 +85,13 @@ def cmd_chi(args) -> dict:
         samples=args.samples, seed=args.seed)
     rows = [(*point, method)
             for point, method in zip(est.circuit_fit.points, est.methods)]
+    # the formula's law holds for a circuit only where its cones are trees
+    non_tree = [str(n) for n, *_ in rows if variant == "circuit"
+                and not transform.cone_is_tree(n, args.depth, args.wiring)]
+    if non_tree:
+        print(f"warning: the {args.wiring} EC block's cones are not trees "
+              f"at D = {args.depth}, n = {', '.join(non_tree)}: its wires are "
+              "not independent as the formula's are", file=sys.stderr)
     if args.csv:
         _dump_csv(_metadata(args, "chi"),
                   ["n", "eps_l", "ci_low", "ci_high", "method"],

@@ -47,8 +47,8 @@ EXACT_ENGINE_CAP = 15
 RING_FRONTIER_CAP = 4
 """Largest frontier (sum of the EC offsets, in bits) of the ring engine.
 Its cost grows as 8^F: at n = 15 on a 2-core x86 machine, F = 4 (unit
-D = 4) took 0.3 ms against 1.2-1.4 ms on the 2^n engine, F = 6 (unit
-D = 6) 4.7-6.1 ms against 1.7 ms."""
+D = 4) took 0.25-0.3 ms against 1.0-1.1 ms on the 2^n engine, F = 6
+(unit D = 6) 5.1-5.6 ms against 1.1-1.2 ms."""
 
 
 class ExactEngineError(CircuitError):
@@ -166,6 +166,41 @@ def _bit_sums(weights) -> np.ndarray:
     return out
 
 
+# the index arrays below are cached as int32, half the bytes of int64; at
+# n = 15 a bincount over them took 64 us against 57 over int64, and iid
+# gathers by take, as indexing by int32 took twice as long (2-core x86,
+# numpy 2.4)
+
+
+@functools.lru_cache(maxsize=None)
+def _popcounts(n: int) -> np.ndarray:
+    """The popcount of each of the 2^n states (read-only, as it is
+    shared); one per n <= EXACT_ENGINE_CAP."""
+    pop = _bit_sums([1] * n).astype(np.int32)
+    pop.flags.writeable = False
+    return pop
+
+
+@functools.lru_cache(maxsize=64)
+def _nand_index(n: int, offsets: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """The state each state of an n-wire bundle moves to through the NAND
+    layer whose output wire i reads input wires offsets[i] (read-only, as
+    it is shared): the complement of (the state's bits moved to the
+    outputs that read them as first input) & (the same for the second)."""
+    # first[j] (second[j]) marks the gates whose first (second) input is
+    # wire j; each output bit reads one input bit, so the bit sums are ORs
+    first = [0] * n
+    second = [0] * n
+    for i, (a, b) in enumerate(offsets):
+        first[a] |= 1 << i
+        second[b] |= 1 << i
+    out = _bit_sums(first) & _bit_sums(second)
+    out ^= (1 << n) - 1
+    index = out.astype(np.int32)
+    index.flags.writeable = False
+    return index
+
+
 # wires mixed per noise step: the noise on n = 11..15 wires took 17, 15, 30,
 # 49 and 84 us at 4, 21, 17, 31, 49 and 76 at 3, 13, 19, 28, 51 and 190 at
 # 5 (a BLAS slow path); an exact-engine benchmark round takes the same at 3
@@ -185,18 +220,18 @@ def _noise_kernel(k: int, eps_p: float) -> np.ndarray:
 class BundleState:
     """Joint law of an n-wire bundle: state s sets wire i to (s >> i) & 1.
 
-    Index arrays take O(2^n) work, built by doubling over the bits
-    (_bit_sums): the popcount, and a NAND layer's pushforward index,
-    the complement of (the state's bits moved to the outputs that read
-    them as first input) & (the same for the second input).  The noise
-    step is one small matrix product per group of _NOISE_WIRES wires."""
+    The index arrays (the popcount, and a NAND layer's pushforward index)
+    are built by doubling over the bits (_bit_sums) once per n and per
+    (n, offsets), and shared read-only, so a step does only its
+    arithmetic.  The noise step is one small matrix product per group of
+    _NOISE_WIRES wires."""
 
     def __init__(self, n: int, probs: np.ndarray):
         if probs.shape != (_state_size(n),):
             raise ValueError("state size mismatch")
         self.n = n
         self.probs = probs
-        self._popcount = _bit_sums([1] * n)
+        self._popcount = _popcounts(n)
 
     @classmethod
     def iid(cls, n: int, p_one: float) -> "BundleState":
@@ -210,7 +245,7 @@ class BundleState:
         else:
             k = np.arange(n + 1)
             state.probs = np.exp(k * math.log(p_one)
-                                 + (n - k) * math.log1p(-p_one))[pop]
+                                 + (n - k) * math.log1p(-p_one)).take(pop)
         return state
 
     def apply_noise(self, eps_p: float):
@@ -227,18 +262,8 @@ class BundleState:
     def apply_wiring_layer(self, offsets: tuple[tuple[int, int], ...]):
         """Push forward through one NAND layer; output wire i is the NAND
         of input wires offsets[i] = (a_i, b_i)."""
-        # first[j] (second[j]) marks the gates whose first (second)
-        # input is wire j; each output bit reads one input bit, so the
-        # bit sums are ORs
-        first = [0] * self.n
-        second = [0] * self.n
-        for i, (a, b) in enumerate(offsets):
-            first[a] |= 1 << i
-            second[b] |= 1 << i
-        out = _bit_sums(first) & _bit_sums(second)
-        out ^= (1 << self.n) - 1
-        self.probs = np.bincount(out, weights=self.probs,
-                                 minlength=1 << self.n)
+        self.probs = np.bincount(_nand_index(self.n, tuple(offsets)),
+                                 weights=self.probs, minlength=1 << self.n)
 
     def combine_iid_nand(self):
         """Replace the state by the NAND-layer output of two i.i.d.
@@ -247,16 +272,25 @@ class BundleState:
 
         The superset sums of the law of a & b are the squares of those of
         the state; Moebius inversion recovers that law, and reversing the
-        array complements every wire.
+        array complements every wire.  Each of the 2n passes folds bit 0
+        by a perfect shuffle into a spare buffer: the pairs (2j, 2j + 1)
+        give op(t[2j], t[2j + 1]) at j and t[2j + 1] at j + 2^(n-1), which
+        rotates bit 0 to the top.  After n passes every bit has been
+        folded once, bit 0 first, and every entry is back in place, having
+        seen the same operations in the same order as in-place folds
+        would give; each pass reads with stride 2 and writes contiguously.
         """
         t = self.probs.copy()
-        for k in range(self.n):
-            pairs = t.reshape(-1, 2, 1 << k)
-            pairs[:, 0, :] += pairs[:, 1, :]
-        t *= t
-        for k in range(self.n):
-            pairs = t.reshape(-1, 2, 1 << k)
-            pairs[:, 0, :] -= pairs[:, 1, :]
+        spare = np.empty_like(t)
+        half = t.size // 2
+        for op in (np.add, np.subtract):
+            for _ in range(self.n):
+                pairs = t.reshape(half, 2)
+                op(pairs[:, 0], pairs[:, 1], out=spare[:half])
+                spare[half:] = pairs[:, 1]
+                t, spare = spare, t
+            if op is np.add:
+                t *= t
         self.probs = np.maximum(t[::-1], 0.0)
 
     def wrong_count_distribution(self, encoded: int) -> np.ndarray:

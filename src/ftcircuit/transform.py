@@ -74,6 +74,22 @@ def ring_offset(n: int, layer: int, wiring: str) -> int | None:
     raise ValueError(f"unknown wiring rule: {wiring}")
 
 
+def cone_is_tree(n: int, depth: int, wiring: str) -> bool:
+    """True when the backward cone of every output of the depth-D EC
+    block is a tree, so that the wires a gate reads are independent, as
+    the formula assumes.  Output i reads input i - sum(S) mod n once for
+    each subset S of the layers, so the cone is a tree exactly when those
+    2^D subset sums of the offsets are distinct mod n (n >= 2^D for
+    offset-doubling, never for unit).  The shared wiring is never one."""
+    sums = [0]
+    for layer in range(1, depth + 1):
+        off = ring_offset(n, layer, wiring)
+        if off is None:
+            return False
+        sums += [(s + off) % n for s in sums]
+    return len(set(sums)) == len(sums)
+
+
 def ec_offsets(n: int, layer: int,
                wiring: str) -> tuple[tuple[int, int], ...]:
     """For each gate i of EC layer l, the two wires of layer l - 1 it

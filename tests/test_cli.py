@@ -207,6 +207,27 @@ def test_chi_points_name_the_engine_that_ran(capsys, formula):
     assert [p[4] for p in json.loads(out)["points"]] == ["exact"] * 4
 
 
+@pytest.mark.parametrize("argv,warned", [
+    (["--depth", "4", "--wiring", "unit"], "unit EC block's cones are not "
+     "trees at D = 4, n = 5, 7, 9, 11, 13"),
+    (["--depth", "4"], "offset-doubling EC block's cones are not trees at "
+     "D = 4, n = 5, 7, 9, 11, 13"),
+    (["--depth", "2", "--n-range", "3,5,7,9"], "offset-doubling EC block's "
+     "cones are not trees at D = 2, n = 3"),
+    (["--depth", "2"], None),
+    (["--depth", "4", "--wiring", "unit", "--formula"], None),
+])
+def test_chi_names_the_n_whose_cones_are_not_trees(capsys, argv, warned):
+    # one stderr line beside stdout, which does not change
+    code, out, err = run_cli(capsys, "chi", "--eps-p", "0.005", *argv)
+    assert code == 0 and json.loads(out)["chi"] > 0.0
+    if warned is None:
+        assert err == ""
+    else:
+        assert err == (f"warning: the {warned}: its wires are not "
+                       "independent as the formula's are\n")
+
+
 def test_chi_csv_output(capsys, tmp_path):
     csv_path = tmp_path / "points.csv"
     code, _, _ = run_cli(capsys, "chi", "--n-range", "5,7,9,11",
@@ -566,6 +587,11 @@ CONFIG_PARITY = {
 }
 
 
+UNIT_D2_WARNING = ("warning: the unit EC block's cones are not trees at "
+                   "D = 2, n = 3, 5, 7, 9: its wires are not independent as "
+                   "the formula's are\n")
+
+
 @pytest.mark.parametrize("argv,config", CONFIG_PARITY.values(),
                          ids=CONFIG_PARITY.keys())
 def test_config_prints_the_bytes_of_its_flags(capsys, tmp_path, monkeypatch,
@@ -574,11 +600,13 @@ def test_config_prints_the_bytes_of_its_flags(capsys, tmp_path, monkeypatch,
     (tmp_path / "base.nl").write_text("in a\nin b\ng1 NAND a b\nout g1\n")
     (tmp_path / "cfg.json").write_text(json.dumps(config))
     code, want, err = run_cli(capsys, *argv, *_as_flags(config))
-    assert (code, err) == (0, "")
+    # only the chi config's unit wiring has cones that are not trees
+    warns = argv == ["chi"] and config.get("wiring") == "unit"
+    assert (code, err) == (0, UNIT_D2_WARNING if warns else "")
     assert want
     for order in (argv + ["--config", "cfg.json"],
                   argv[:1] + ["--config", "cfg.json"] + argv[1:]):
-        assert run_cli(capsys, *order) == (0, want, "")
+        assert run_cli(capsys, *order) == (0, want, err)
 
 
 @pytest.mark.parametrize("config,message", [

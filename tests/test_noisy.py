@@ -647,10 +647,11 @@ def test_wiring_layer_matches_enumeration(wiring):
                 for i, (a, b) in enumerate(offsets):
                     t |= (1 - ((s >> a) & (s >> b) & 1)) << i
                 want[t] += p
-            state.apply_wiring_layer(offsets)
-            # the same sums in the same order
-            np.testing.assert_array_equal(state.probs, want,
-                                          err_msg=f"n={n} l={layer}")
+            # the same sums in the same order, given a tuple or a list
+            for given in (offsets, list(offsets)):
+                pushed = BundleState(n, state.probs)
+                pushed.apply_wiring_layer(given)
+                assert pushed.probs.tobytes() == want.tobytes(), (n, layer)
 
 
 def _per_wire_mixing(probs, n, eps):
@@ -707,6 +708,51 @@ def test_combine_iid_nand_matches_two_copy_enumeration():
         assert big.any()
         np.testing.assert_allclose(state.probs[big], want[big], rtol=1e-12,
                                    atol=0, err_msg=f"n={n}")
+
+
+def _reshape_butterfly(probs, n):
+    """The combine as in-place folds of each bit k over (-1, 2, 2^k)
+    views: the arithmetic the engine's shuffle passes must repeat."""
+    t = probs.copy()
+    for k in range(n):
+        pairs = t.reshape(-1, 2, 1 << k)
+        pairs[:, 0, :] += pairs[:, 1, :]
+    t *= t
+    for k in range(n):
+        pairs = t.reshape(-1, 2, 1 << k)
+        pairs[:, 0, :] -= pairs[:, 1, :]
+    return np.maximum(t[::-1], 0.0)
+
+
+def test_combine_iid_nand_is_the_reshape_butterfly_bit_for_bit():
+    for n in range(1, 16):
+        for state in (_random_state(n, 200 + n), BundleState.iid(n, 0.06)):
+            want = _reshape_butterfly(state.probs, n)
+            state.combine_iid_nand()
+            assert state.probs.tobytes() == want.tobytes(), n
+
+
+def test_index_arrays_are_shared_read_only():
+    # one popcount per n and one NAND index per (n, offsets), which no
+    # caller may write
+    n = 6
+    pops = [BundleState(n, np.zeros(1 << n))._popcount for _ in range(2)]
+    offsets = transform.ec_offsets(n, 2, "offset-doubling")
+    index = noisy._nand_index(n, offsets)
+    assert pops[0] is pops[1]
+    assert noisy._nand_index(n, tuple(list(offsets))) is index
+    for shared in (pops[0], index):
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError):
+            shared[0] = 1
+
+
+@pytest.mark.parametrize("stages", [1, 3])
+def test_exact_stage_error_repeats_its_bytes(stages):
+    # a cache that a step wrote into would move the second call
+    p = FtParams(15, 4, 0.005, fixed_points(4, 0.005).point().delta)
+    laws = [exact_stage_error(p, "gadget", stages=stages) for _ in range(2)]
+    assert laws[0].tobytes() == laws[1].tobytes()
 
 
 def _bundle_block_law(p, block, wiring):

@@ -7,8 +7,9 @@ from ftcircuit.transform import (FtParams, WIRING_OFFSET_DOUBLING,
                                  WIRING_SHARED, WIRING_UNIT, WIRINGS,
                                  apply_ft_construction, build_formula_gadget,
                                  build_ft_gadget, build_majority_ec_circuit,
-                                 build_majority_ec_formula, decode_bits,
-                                 ec_offsets, encode_bit, ring_offset)
+                                 build_majority_ec_formula, cone_is_tree,
+                                 decode_bits, ec_offsets, encode_bit,
+                                 ring_offset)
 
 
 def input_ancestors(circuit):
@@ -74,6 +75,31 @@ def test_shared_wiring_is_pathological():
     assert all(len(a) <= 4 for a in input_ancestors(ec).values())
     distinct = set(frozenset(a) for a in input_ancestors(ec).values())
     assert len(distinct) == 1
+
+
+def _max_path_count(circuit):
+    """The most paths from any output back to any one input: 1 when every
+    backward cone is a tree (a gate reading one wire twice makes two)."""
+    paths = {w: {w: 1} for w in circuit.inputs}
+    for g in circuit.topological_order:
+        count = {}
+        for w in g.inputs:
+            for x, k in paths[w].items():
+                count[x] = count.get(x, 0) + k
+        paths[g.name] = count
+    return max(k for w in circuit.outputs for k in paths[w].values())
+
+
+@pytest.mark.parametrize("wiring", WIRINGS)
+def test_cone_is_tree_matches_a_path_count(wiring):
+    for depth in (2, 4, 6):
+        for n in range(1, 33):
+            ec = build_majority_ec_circuit(n, depth, wiring)
+            want = _max_path_count(ec) == 1
+            assert cone_is_tree(n, depth, wiring) == want, (n, depth)
+    # offset-doubling from n = 2^D; never unit or shared
+    assert [n for n in range(1, 33) if cone_is_tree(n, 4, wiring)] == (
+        list(range(16, 33)) if wiring == WIRING_OFFSET_DOUBLING else [])
 
 
 def test_ec_depth_validation():
