@@ -46,9 +46,9 @@ EXACT_ENGINE_CAP = 15
 """Largest n of the 2^n engine (BundleState)."""
 RING_FRONTIER_CAP = 4
 """Largest frontier (sum of the EC offsets, in bits) of the ring engine.
-Its cost grows as 8^F: at n = 15 on a 2-core x86 machine, F = 4 (unit
-D = 4) took 0.25-0.3 ms against 1.0-1.1 ms on the 2^n engine, F = 6
-(unit D = 6) 5.1-5.6 ms against 1.1-1.2 ms."""
+Its cost grows as 8^F: at n = 15 on a 2-core x86 machine, in repeated
+calls, F = 4 (unit D = 4) took 0.27-0.47 ms against 0.77-1.08 ms on the
+2^n engine, F = 6 (unit D = 6) 6.8-8.4 ms against 1.1-1.6 ms."""
 
 
 class ExactEngineError(CircuitError):
@@ -166,27 +166,18 @@ def _bit_sums(weights) -> np.ndarray:
     return out
 
 
-# the index arrays below are cached as int32, half the bytes of int64; at
-# n = 15 a bincount over them took 64 us against 57 over int64, and iid
-# gathers by take, as indexing by int32 took twice as long (2-core x86,
-# numpy 2.4)
+# the index arrays below are shared but left writeable: np.bincount copies
+# a read-only index on every call
 
 
 @functools.lru_cache(maxsize=None)
 def _popcounts(n: int) -> np.ndarray:
-    """The popcount of each of the 2^n states (read-only, as it is
-    shared); one per n <= EXACT_ENGINE_CAP."""
-    pop = _bit_sums([1] * n).astype(np.int32)
-    pop.flags.writeable = False
-    return pop
+    """The popcount of each of the 2^n states, one array per n."""
+    return _bit_sums([1] * n)
 
 
-@functools.lru_cache(maxsize=64)
-def _nand_index(n: int, offsets: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """The state each state of an n-wire bundle moves to through the NAND
-    layer whose output wire i reads input wires offsets[i] (read-only, as
-    it is shared): the complement of (the state's bits moved to the
-    outputs that read them as first input) & (the same for the second)."""
+def _build_nand_index(n: int,
+                      offsets: tuple[tuple[int, int], ...]) -> np.ndarray:
     # first[j] (second[j]) marks the gates whose first (second) input is
     # wire j; each output bit reads one input bit, so the bit sums are ORs
     first = [0] * n
@@ -196,9 +187,28 @@ def _nand_index(n: int, offsets: tuple[tuple[int, int], ...]) -> np.ndarray:
         second[b] |= 1 << i
     out = _bit_sums(first) & _bit_sums(second)
     out ^= (1 << n) - 1
-    index = out.astype(np.int32)
-    index.flags.writeable = False
-    return index
+    return out
+
+
+_cached_nand_index = functools.lru_cache(maxsize=64)(_build_nand_index)
+_NAND_SEEN: set[tuple[int, tuple[tuple[int, int], ...]]] = set()
+
+
+def _nand_index(n: int, offsets: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """The state each state of an n-wire bundle moves to through the NAND
+    layer whose output wire i reads input wires offsets[i]: the complement
+    of (the state's bits moved to the outputs that read them as first
+    input) & (the same for the second).
+
+    A layer is cached from its second use on.  A kept array takes fresh
+    pages, which cost more than the build (at n = 15 on a 2-core x86 VM,
+    about 190 us to fault 256 kB against 90-160 us to build), so a layer
+    used once, as in one `ftcircuit simulate`, costs an uncached build."""
+    key = (n, offsets)
+    if key in _NAND_SEEN:
+        return _cached_nand_index(n, offsets)
+    _NAND_SEEN.add(key)
+    return _build_nand_index(n, offsets)
 
 
 # wires mixed per noise step: the noise on n = 11..15 wires took 17, 15, 30,
@@ -220,9 +230,9 @@ def _noise_kernel(k: int, eps_p: float) -> np.ndarray:
 class BundleState:
     """Joint law of an n-wire bundle: state s sets wire i to (s >> i) & 1.
 
-    The index arrays (the popcount, and a NAND layer's pushforward index)
-    are built by doubling over the bits (_bit_sums) once per n and per
-    (n, offsets), and shared read-only, so a step does only its
+    The index arrays, built by doubling over the bits (_bit_sums), are
+    shared: the popcount once per n, and a NAND layer's pushforward index
+    once per (n, offsets) that comes back, so a repeated step does only its
     arithmetic.  The noise step is one small matrix product per group of
     _NOISE_WIRES wires."""
 
@@ -245,7 +255,7 @@ class BundleState:
         else:
             k = np.arange(n + 1)
             state.probs = np.exp(k * math.log(p_one)
-                                 + (n - k) * math.log1p(-p_one)).take(pop)
+                                 + (n - k) * math.log1p(-p_one))[pop]
         return state
 
     def apply_noise(self, eps_p: float):

@@ -732,27 +732,27 @@ def test_combine_iid_nand_is_the_reshape_butterfly_bit_for_bit():
             assert state.probs.tobytes() == want.tobytes(), n
 
 
-def test_index_arrays_are_shared_read_only():
-    # one popcount per n and one NAND index per (n, offsets), which no
-    # caller may write
-    n = 6
+def test_index_arrays_are_shared():
+    # one popcount per n; a NAND index is built afresh on its first use and
+    # kept from its second, keyed by the offsets' values
+    n = 7
+    offsets = tuple(((i + 3) % n, 2 * i % n) for i in range(n))
+    first, second, third = (noisy._nand_index(n, tuple(list(offsets)))
+                            for _ in range(3))
+    assert first is not second and second is third
+    assert first.tobytes() == second.tobytes()
     pops = [BundleState(n, np.zeros(1 << n))._popcount for _ in range(2)]
-    offsets = transform.ec_offsets(n, 2, "offset-doubling")
-    index = noisy._nand_index(n, offsets)
     assert pops[0] is pops[1]
-    assert noisy._nand_index(n, tuple(list(offsets))) is index
-    for shared in (pops[0], index):
-        assert not shared.flags.writeable
-        with pytest.raises(ValueError):
-            shared[0] = 1
 
 
 @pytest.mark.parametrize("stages", [1, 3])
 def test_exact_stage_error_repeats_its_bytes(stages):
-    # a cache that a step wrote into would move the second call
+    # a NAND index is kept from its second use on, so the third call reads
+    # it from the cache; a cache that a step wrote into would move it
     p = FtParams(15, 4, 0.005, fixed_points(4, 0.005).point().delta)
-    laws = [exact_stage_error(p, "gadget", stages=stages) for _ in range(2)]
-    assert laws[0].tobytes() == laws[1].tobytes()
+    laws = [exact_stage_error(p, "gadget", stages=stages).tobytes()
+            for _ in range(3)]
+    assert laws[1] == laws[0] and laws[2] == laws[0]
 
 
 def _bundle_block_law(p, block, wiring):
