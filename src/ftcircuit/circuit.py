@@ -168,19 +168,6 @@ class Circuit:
             values[g.name] = g.label.apply([values[w] for w in g.inputs])
         return values
 
-    def topological_layers(self) -> list[list[Gate]]:
-        """Minimal-depth (ASAP) gate layering.
-
-        Layer k holds the gates at depth k+1; every gate's inputs lie in
-        strictly earlier layers or in the input set.
-        """
-        d = self.depths
-        n_layers = max((d[g.name] for g in self.gates), default=0)
-        layers: list[list[Gate]] = [[] for _ in range(n_layers)]
-        for g in self.topological_order:
-            layers[d[g.name] - 1].append(g)
-        return layers
-
 
 def parse_circuit(text: str, labels: Mapping[str, GateLabel] | None = None) -> Circuit:
     """Parse the line-based netlist format into a validated Circuit."""

@@ -123,7 +123,10 @@ def cmd_simulate(args) -> dict:
         params, method=args.method, delta_threshold=args.delta_threshold,
         variant="formula" if args.formula else "circuit", block=args.block,
         wiring=args.wiring, samples=args.samples, seed=args.seed)
-    return est.to_record(params)
+    return {"n": params.n, "D": params.depth, "eps_p": params.eps_p,
+            "delta": params.delta, "method": est.method,
+            "estimate": est.mean, "ci_low": est.ci_low,
+            "ci_high": est.ci_high, "samples": est.samples, "seed": est.seed}
 
 
 def cmd_overhead(args) -> dict:
@@ -152,9 +155,8 @@ def _parse_axis(spec: str) -> tuple[str, list[float]]:
         steps = 0
     log = parts[3:] == ["log"]
     floor = 0.0 if log else -np.inf
-    if (name not in resource.GRID_AXES or len(parts) not in (3, 4)
-            or parts[3:] not in ([], ["log"]) or steps < 1
-            or not (floor < lo < np.inf and floor < hi < np.inf)):
+    if (len(parts) not in (3, 4) or parts[3:] not in ([], ["log"])
+            or steps < 1 or not (floor < lo < np.inf and floor < hi < np.inf)):
         raise ValueError(f"bad axis spec: {spec!r} (want "
                          "name=lo:hi:steps[:log], steps >= 1, finite bounds, "
                          "positive on a log axis)")

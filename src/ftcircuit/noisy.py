@@ -70,15 +70,6 @@ class ErrorEstimate:
         if not self.ci_low <= self.mean <= self.ci_high:
             raise ValueError("confidence interval must contain the mean")
 
-    def to_record(self, params: FtParams) -> dict:
-        return {
-            "n": params.n, "D": params.depth, "eps_p": params.eps_p,
-            "delta": params.delta, "method": self.method,
-            "estimate": self.mean, "ci_low": self.ci_low,
-            "ci_high": self.ci_high, "samples": self.samples,
-            "seed": self.seed,
-        }
-
 
 def exact_estimate(p: float) -> ErrorEstimate:
     return ErrorEstimate(p, p, p, "exact")
@@ -145,17 +136,6 @@ def tree_error_marginals(net: LayeredNoisyNetwork) -> dict[str, float]:
 # exact joint engine over one n-wire bundle
 
 
-def _state_size(n: int) -> int:
-    if n > EXACT_ENGINE_CAP:
-        raise ExactEngineError(
-            f"the 2^n exact engine serves n <= {EXACT_ENGINE_CAP}, got "
-            f"n={n}; the ring engine serves any n for one-stage blocks with "
-            "circulant wiring whose offsets lie in [1, n - 1] and sum to at "
-            f"most {RING_FRONTIER_CAP} (offset-doubling at D = 2, unit at "
-            "D <= 4); use Monte Carlo for the rest")
-    return 1 << n
-
-
 def _bit_sums(weights) -> np.ndarray:
     """For each of the 2^n states s, the sum of weights[j] over the set
     bits j of s, built by doubling: the states in [2^j, 2^(j+1)) are
@@ -172,7 +152,15 @@ def _bit_sums(weights) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _popcounts(n: int) -> np.ndarray:
-    """The popcount of each of the 2^n states, one array per n."""
+    """The popcount of each of the 2^n states, one array per n; the one
+    check of EXACT_ENGINE_CAP, made before any 2^n array is built."""
+    if n > EXACT_ENGINE_CAP:
+        raise ExactEngineError(
+            f"the 2^n exact engine serves n <= {EXACT_ENGINE_CAP}, got "
+            f"n={n}; the ring engine serves any n for one-stage blocks with "
+            "circulant wiring whose offsets lie in [1, n - 1] and sum to at "
+            f"most {RING_FRONTIER_CAP} (offset-doubling at D = 2, unit at "
+            "D <= 4); use Monte Carlo for the rest")
     return _bit_sums([1] * n)
 
 
@@ -237,26 +225,18 @@ class BundleState:
     _NOISE_WIRES wires."""
 
     def __init__(self, n: int, probs: np.ndarray):
-        if probs.shape != (_state_size(n),):
+        if probs.shape != _popcounts(n).shape:
             raise ValueError("state size mismatch")
         self.n = n
         self.probs = probs
-        self._popcount = _popcounts(n)
 
     @classmethod
     def iid(cls, n: int, p_one: float) -> "BundleState":
-        """Every wire at 1 independently with probability p_one."""
-        state = cls(n, np.empty(_state_size(n)))
-        pop = state._popcount
-        if p_one <= 0.0:
-            state.probs = np.where(pop == 0, 1.0, 0.0)
-        elif p_one >= 1.0:
-            state.probs = np.where(pop == n, 1.0, 0.0)
-        else:
-            k = np.arange(n + 1)
-            state.probs = np.exp(k * math.log(p_one)
-                                 + (n - k) * math.log1p(-p_one))[pop]
-        return state
+        """Every wire at 1 independently with probability p_one: a state
+        with k ones has p_one^k (1 - p_one)^(n - k), and 0^0 = 1 covers
+        p_one = 0 and 1."""
+        k = np.arange(n + 1)
+        return cls(n, (p_one**k * (1.0 - p_one)**(n - k))[_popcounts(n)])
 
     def apply_noise(self, eps_p: float):
         """XOR-convolve with i.i.d. Bernoulli(eps_p) flips on every wire:
@@ -307,7 +287,7 @@ class BundleState:
         """Distribution of the number of wires that differ from the
         encoded value; length n + 1."""
         probs = self.probs[::-1] if encoded else self.probs
-        return np.bincount(self._popcount, weights=probs,
+        return np.bincount(_popcounts(self.n), weights=probs,
                            minlength=self.n + 1)
 
 

@@ -148,6 +148,11 @@ def asymptotic_overhead(t: TailModel, eps_l: float,
             * math.log(1.0 / eps_l))
 
 
+def _check_chi(chi: float):
+    if not 0.0 < chi <= 1.0:
+        raise ValueError(f"chi must be in (0, 1], got {chi}")
+
+
 def overhead_ratio(t: TailModel, eps_l: float, point: analytic.OperatingPoint,
                    chi: float) -> OverheadReport:
     """Exact and asymptotic resource overhead eta at one operating point.
@@ -158,8 +163,7 @@ def overhead_ratio(t: TailModel, eps_l: float, point: analytic.OperatingPoint,
     matching the constants-ratio convention W_P/(alpha A),
     W_P/(sqrt(2) sigma A), W_P/(A beta).
     """
-    if not 0.0 < chi <= 1.0:
-        raise ValueError(f"chi must be in (0, 1], got {chi}")
+    _check_chi(chi)
     if not 0.0 < eps_l < point.eps_p:
         raise ValueError(f"need 0 < eps_l < eps_p, got eps_l={eps_l}, "
                          f"eps_p={point.eps_p}")
@@ -183,8 +187,6 @@ def _overhead_report(t: TailModel, eps_l: float,
 class PhaseGrid:
     """eta evaluated over a 2-parameter grid, with the eta = 1 contour."""
 
-    axis1: str
-    axis2: str
     values1: tuple[float, ...]
     values2: tuple[float, ...]
     eta_exact: tuple[tuple[float, ...], ...]
@@ -223,8 +225,7 @@ def phase_grid(t: TailModel, axis1: str, values1, axis2: str, values2,
     values2 = tuple(float(v) for v in values2)
     depth = int(fixed.get("depth", 2))
     chi = float(fixed.get("chi", 1.0))
-    if not 0.0 < chi <= 1.0:
-        raise ValueError(f"chi must be in (0, 1], got {chi}")
+    _check_chi(chi)
     axes = {axis1: values1, axis2: values2}
     for eps_l in (axes["eps_l"] if "eps_l" in axes
                   else (float(fixed["eps_l"]),)):
@@ -258,8 +259,8 @@ def phase_grid(t: TailModel, axis1: str, values1, axis2: str, values2,
                            for row in cells)
     regime = tuple(tuple(r.regime for r in row) for row in cells)
     contour = _extract_contour(values1, values2, eta_exact)
-    return PhaseGrid(axis1, axis2, values1, values2, eta_exact,
-                     eta_asymptotic, regime, tuple(contour))
+    return PhaseGrid(values1, values2, eta_exact, eta_asymptotic, regime,
+                     tuple(contour))
 
 
 def _extract_contour(values1, values2, grid) -> list[tuple[float, float]]:

@@ -145,9 +145,7 @@ def build_majority_ec_circuit(n: int, depth: int,
     Gate (l, i) reads the outputs of gates (l-1, i) and (l-1, i - off mod n),
     where layer 0 is the n input wires.
     """
-    if n < 1:
-        raise ValueError(f"code size must be >= 1, got {n}")
-    check_depth(depth)
+    FtParams(n, depth)
     inputs = tuple(f"x{i}" for i in range(n))
     gates, out = _ec_gates(inputs, depth, "m", wiring)
     return Circuit(inputs, tuple(gates), out)

@@ -127,33 +127,34 @@ def test_custom_label():
     assert c.evaluate({"a": 0}) == {"g1": 1}
 
 
-def test_topological_layers_single():
-    assert len(parse_circuit(SIMPLE).topological_layers()) == 1
+def _gates_per_depth(c):
+    """The number of gates at each depth 1, 2, ..., deepest."""
+    depths = [c.depths[g.name] for g in c.gates]
+    return [depths.count(d) for d in range(1, max(depths, default=0) + 1)]
 
 
-def test_topological_layers_chain():
+def test_depths_single():
+    assert _gates_per_depth(parse_circuit(SIMPLE)) == [1]
+
+
+def test_depths_chain():
     lines = ["in a"]
     prev = "a"
     for i in range(5):
         lines.append(f"g{i} NAND {prev} {prev}")
         prev = f"g{i}"
     c = parse_circuit("\n".join(lines) + "\n")
-    layers = c.topological_layers()
-    assert [len(l) for l in layers] == [1] * 5
+    assert _gates_per_depth(c) == [1] * 5
 
 
-def test_topological_layers_respect_edges():
+def test_depths_respect_edges():
     from ftcircuit.transform import build_ft_gadget, FtParams
     c = build_ft_gadget(FtParams(5, 2)).circuit
-    layers = c.topological_layers()
-    assert [len(l) for l in layers] == [5, 5, 5]
-    position = {w: 0 for w in c.inputs}
-    for k, layer in enumerate(layers, start=1):
-        for g in layer:
-            position[g.name] = k
+    assert _gates_per_depth(c) == [5, 5, 5]
+    assert all(c.depths[w] == 0 for w in c.inputs)
     for g in c.gates:
         for w in g.inputs:
-            assert position[w] < position[g.name]
+            assert c.depths[w] < c.depths[g.name]
 
 
 def test_missing_input_assignment():

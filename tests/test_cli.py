@@ -114,6 +114,19 @@ def test_simulate_exact_matches_oracle(capsys):
     assert data["method"] == "exact"
 
 
+def test_simulate_exact_record(capsys):
+    code, out, _ = run_cli(capsys, "simulate", "--n", "5", "--depth", "2",
+                           "--eps-p", "0.005", "--delta", "0.058",
+                           "--method", "exact")
+    assert code == 0
+    record = json.loads(out)
+    assert record["n"] == 5 and record["D"] == 2
+    assert record["method"] == "exact"
+    assert record["estimate"] == record["ci_low"] == record["ci_high"]
+    assert record["samples"] == 0
+    assert record["seed"] is None
+
+
 @pytest.mark.parametrize("method", ["exact", "monte_carlo"])
 @pytest.mark.parametrize("fraction", ["1.5", "0", "-0.1"])
 def test_simulate_rejects_delta_threshold_outside_unit_interval(
@@ -427,6 +440,14 @@ def test_phase_rejects_bad_axis(capsys):
     assert code == 1
     assert out == ""
     assert "bad axis spec" in err
+
+
+def test_phase_refuses_an_unknown_axis_by_name(capsys):
+    code, out, err = run_cli(
+        capsys, "phase", "--tail", "pareto", "--eps-p", "0.005",
+        "--axis1", "bogus=1:2:2", "--axis2", "eps_l=1e-20:1e-15:2:log")
+    assert (code, out) == (1, "")
+    assert err == "error: unknown grid axis: bogus\n"
 
 
 @pytest.mark.parametrize("chi", ["5", "7"])

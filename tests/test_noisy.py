@@ -489,16 +489,6 @@ def test_multistage_chain():
     assert tail_probability(four, 4) < 1e-3
 
 
-def test_error_estimate_record():
-    p = FtParams(5, 2, 0.005, 0.058)
-    est = circuit_logical_error(p, method="exact")
-    record = est.to_record(p)
-    assert record["n"] == 5 and record["D"] == 2
-    assert record["method"] == "exact"
-    assert record["estimate"] == record["ci_low"] == record["ci_high"]
-    assert record["samples"] == 0
-
-
 def test_error_estimate_invariants():
     with pytest.raises(ValueError):
         ErrorEstimate(0.5, 0.6, 0.7, "exact")
@@ -595,7 +585,7 @@ def test_exact_law_matches_fraction_oracle(request, n, block, wiring,
         request.applymarker(pytest.mark.xfail(
             strict=True, reason="the combine of two encoded-1 bundles "
             "subtracts superset sums near 1; the all-wrong tail (2.6e-4) "
-            "is off by a relative 4.36e-12"))
+            "is off by a relative 3.68e-12"))
     p = FtParams(n, 2, 0.005, 0.058)
     dist = exact_stage_error(p, block, wiring, stages)
     law = _fraction_block_law(n, 2, 0.005, 0.058, block, wiring, stages)
@@ -688,9 +678,26 @@ def test_noise_matches_per_wire_mixing():
         np.testing.assert_array_equal(state.probs, spread)
 
 
+@pytest.mark.parametrize("p", [0.0, 1e-6, 1e-3, 0.06, 0.49])
+def test_iid_is_the_exact_product_law(p):
+    # the state with k ones has p^k (1 - p)^(n - k), here in exact
+    # rationals of the float p; at p = 0 all mass sits on the all-0 state
+    for n in range(1, 16):
+        probs = BundleState.iid(n, p).probs
+        pop = noisy._popcounts(n)
+        for k in range(n + 1):
+            exact = Fraction(p) ** k * (1 - Fraction(p)) ** (n - k)
+            for got in np.unique(probs[pop == k]):
+                if exact == 0:
+                    assert got == 0.0, (n, k)
+                else:
+                    err = float(abs(Fraction(float(got)) - exact) / exact)
+                    assert err <= 1e-14, (n, k, err)
+
+
 def test_popcount_matches_enumeration():
     for n in range(9):
-        pop = BundleState(n, np.zeros(1 << n))._popcount
+        pop = noisy._popcounts(n)
         assert pop.tolist() == [bin(s).count("1") for s in range(1 << n)]
 
 
@@ -741,7 +748,7 @@ def test_index_arrays_are_shared():
                             for _ in range(3))
     assert first is not second and second is third
     assert first.tobytes() == second.tobytes()
-    pops = [BundleState(n, np.zeros(1 << n))._popcount for _ in range(2)]
+    pops = [noisy._popcounts(n) for _ in range(2)]
     assert pops[0] is pops[1]
 
 

@@ -45,7 +45,7 @@ def test_encode_decode():
 def test_ec_circuit_counts_and_ancestors():
     ec = build_majority_ec_circuit(5, 2)
     assert len(ec.gates) == 10
-    assert len(ec.topological_layers()) == 2
+    assert max(ec.depths.values()) == 2
     assert all(len(a) <= 4 for a in input_ancestors(ec).values())
 
 
@@ -132,7 +132,9 @@ def test_ec_formula_noiseless_identity():
 def test_gadget_shape():
     g = build_ft_gadget(FtParams(5, 2))
     assert len(g.circuit.gates) == 15
-    assert [len(l) for l in g.circuit.topological_layers()] == [5, 5, 5]
+    depths = [g.circuit.depths[gate.name] for gate in g.circuit.gates]
+    assert [depths.count(d) for d in (1, 2, 3)] == [5, 5, 5]
+    assert max(depths) == 3
     assert len(g.input_bundles) == 2
     assert len(g.output_bundle) == 5
 
@@ -140,7 +142,7 @@ def test_gadget_shape():
 def test_gadget_depth_independent_of_n():
     for n in (1, 3, 9, 14):
         g = build_ft_gadget(FtParams(n, 4))
-        assert len(g.circuit.topological_layers()) == 5
+        assert max(g.circuit.depths.values()) == 5
 
 
 def test_gadget_noiseless_truth_table():
