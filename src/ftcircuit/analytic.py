@@ -340,38 +340,10 @@ def _run_start(k: int, delta: float) -> int:
     return n
 
 
-def required_code_size(eps_l_target: float, point: OperatingPoint) -> int:
-    """The odd code size n whose exact formula logical error tail(n) is at
-    or below the target while tail(n - 2) is above it (or n = 1).
-
-    The tail is a sawtooth in n: it rises while k = ceil(delta n) holds
-    still and drops at each step of k, so only the first odd n of a
-    threshold run can be the smallest that passes.  The search checks
-    n = 1, doubles k from that of the guess coeff * ln(1/eps_l) until the
-    run start passes, and bisects between the last failing k and it; the
-    run of k - 1 ends at n - 2 and its start fails, so tail(n - 2) does.
-
-    n is the smallest that reaches the target whenever run-start tails
-    fall with k, as at every optimal delta checked.  Nearer the upper
-    window edge they need not: at D = 2, eps_p = 0.005, eps_l = 1e-6, delta
-    three quarters of the way from the optimum to delta_hi this returns
-    26,335 where 26,299 already reaches the target.
-    The logical error reached is 10.0 ** log10_logical_error(n, point).
-    """
-    if not sys.float_info.min <= eps_l_target < 1.0:
-        # a subnormal target overflows the guess's 1/eps_l
-        raise ValueError(f"target must be in [{sys.float_info.min!r}, 1), "
-                         f"got {eps_l_target}")
-    log10_target = math.log10(eps_l_target)
-
-    def passes(k: int) -> bool:
-        return (log10_logical_error(_run_start(k, point.delta), point)
-                <= log10_target)
-
-    if passes(1):
-        return 1
-    guess = int(point.coefficient * math.log(1.0 / eps_l_target))
-    fail, k = 1, failure_threshold(guess, point.delta)
+def _lowest_passing(passes: Callable[[int], bool], fail: int, k: int) -> int:
+    """The k' > fail at which passes first holds, for a passes that fails
+    at fail and is expected to hold from k' on: k doubles until passes(k),
+    then the step from the last failing k to it is bisected."""
     while not passes(k):
         fail, k = k, 2 * k
     while k - fail > 1:
@@ -380,4 +352,79 @@ def required_code_size(eps_l_target: float, point: OperatingPoint) -> int:
             k = mid
         else:
             fail = mid
-    return _run_start(k, point.delta)
+    return k
+
+
+def required_code_size(eps_l_target: float, point: OperatingPoint) -> int:
+    """The odd code size n whose exact formula logical error tail(n) is at
+    or below the target while tail(n - 2) is above it (or n = 1).
+
+    The tail is a sawtooth in n: it rises while k = ceil(delta n) holds
+    still and drops at each step of k, so only the first odd n of a
+    threshold run can be the smallest that passes.  At that n the ratio of
+    consecutive terms of Pr[Bin(n, f) >= k] falls from r = (n - k)/(k + 1)
+    f/(1 - f) < 1 on, so the tail lies between its first term, term_k, and
+    term_k/(1 - r), each a few scalar log-gamma and log calls.  The search
+    checks n = 1, then runs doubling-and-bisection over k, from the k of
+    the guess coeff * ln(1/eps_l), on each bound: kb is the first k the
+    upper bound passes and ka the first the lower bound passes, so no k
+    below ka can.  The exact tail sits near the upper bound, so the finish
+    probes kb - 1, kb - 2, kb - 4, ... until a k fails or the next would
+    leave (ka - 1, kb], and bisects the last step.  The bounds only steer:
+    exact tails confirm that the k found passes and k - 1 fails, and where
+    one contradicts a bound (log-gamma rounding) the search widens, up by
+    doubling k from kb or down by bisecting from k = 1.  The run of k - 1
+    ends at n - 2 and its start fails, so tail(n - 2) does.  No k's exact
+    tail is summed twice in one call.
+
+    n is the smallest that reaches the target whenever run-start tails
+    fall with k, as at every optimal delta checked with eps_p <= 0.007
+    (not at D = 2, eps_p = 0.009, eps_l = 1e-6).  Nearer the upper
+    window edge they need not: at D = 2, eps_p = 0.005, eps_l = 1e-6, delta
+    three quarters of the way from the optimum to delta_hi the run starts
+    26,299, 26,317 and 26,335 reach the target while 26,309 and 26,327
+    between them do not, so which one a search over k returns depends on
+    the k it probes; this one returns 26,299.
+    The logical error reached is 10.0 ** log10_logical_error(n, point).
+    """
+    if not sys.float_info.min <= eps_l_target < 1.0:
+        # a subnormal target overflows the guess's 1/eps_l
+        raise ValueError(f"target must be in [{sys.float_info.min!r}, 1), "
+                         f"got {eps_l_target}")
+    log10_target = math.log10(eps_l_target)
+    log_target = math.log(eps_l_target)
+    delta, f = point.delta, point.f
+
+    @functools.cache
+    def passes(k: int) -> bool:
+        return (log10_logical_error(_run_start(k, delta), point)
+                <= log10_target)
+
+    if passes(1):
+        return 1
+    log_f, log_1mf, odds = math.log(f), math.log1p(-f), f / (1.0 - f)
+
+    def bound_passes(k: int, upper: bool) -> bool:
+        n = _run_start(k, delta)
+        log_term = (math.lgamma(n + 1) - math.lgamma(k + 1)
+                    - math.lgamma(n - k + 1) + k * log_f + (n - k) * log_1mf)
+        if upper:
+            r = (n - k) / (k + 1) * odds
+            if r >= 1.0:
+                return False
+            log_term -= math.log1p(-r)
+        return log_term <= log_target
+
+    guess = int(point.coefficient * math.log(1.0 / eps_l_target))
+    start = failure_threshold(guess, delta)
+    kb = _lowest_passing(lambda k: bound_passes(k, True), 1, start)
+    ka = _lowest_passing(lambda k: bound_passes(k, False), 1, start)
+    # ka - 1 fails by the lower bound and k = 1 by its exact tail
+    ok, fail, step = kb, max(min(ka, kb) - 1, 1), 1
+    while kb - step > fail and passes(kb - step):
+        ok, step = kb - step, 2 * step
+    # the k that failed, or the floor; _lowest_passing confirms ok
+    k = _lowest_passing(passes, max(fail, kb - step), ok)
+    if passes(k - 1):
+        k = _lowest_passing(passes, 1, k - 1)
+    return _run_start(k, delta)

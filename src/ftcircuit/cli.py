@@ -77,6 +77,17 @@ def cmd_threshold(args) -> dict:
     return {"pseudothreshold": analytic.pseudothreshold(args.depth)}
 
 
+def _warn_non_tree(wiring: str, depth: int, ns: list[int]):
+    """One stderr line naming the n of ns whose EC-block cones are not
+    trees: the formula's law holds for a circuit only where they are."""
+    non_tree = [str(n) for n in ns
+                if not transform.cone_is_tree(n, depth, wiring)]
+    if non_tree:
+        print(f"warning: the {wiring} EC block's cones are not trees "
+              f"at D = {depth}, n = {', '.join(non_tree)}: its wires are "
+              "not independent as the formula's are", file=sys.stderr)
+
+
 def cmd_chi(args) -> dict:
     variant = "formula" if args.formula else "circuit"
     est = chi_mod.estimate_chi(
@@ -85,13 +96,8 @@ def cmd_chi(args) -> dict:
         samples=args.samples, seed=args.seed)
     rows = [(*point, method)
             for point, method in zip(est.circuit_fit.points, est.methods)]
-    # the formula's law holds for a circuit only where its cones are trees
-    non_tree = [str(n) for n, *_ in rows if variant == "circuit"
-                and not transform.cone_is_tree(n, args.depth, args.wiring)]
-    if non_tree:
-        print(f"warning: the {args.wiring} EC block's cones are not trees "
-              f"at D = {args.depth}, n = {', '.join(non_tree)}: its wires are "
-              "not independent as the formula's are", file=sys.stderr)
+    if variant == "circuit":
+        _warn_non_tree(args.wiring, args.depth, [n for n, *_ in rows])
     if args.csv:
         _dump_csv(_metadata(args, "chi"),
                   ["n", "eps_l", "ci_low", "ci_high", "method"],
@@ -123,6 +129,8 @@ def cmd_simulate(args) -> dict:
         params, method=args.method, delta_threshold=args.delta_threshold,
         variant="formula" if args.formula else "circuit", block=args.block,
         wiring=args.wiring, samples=args.samples, seed=args.seed)
+    if not args.formula:
+        _warn_non_tree(args.wiring, params.depth, [params.n])
     return {"n": params.n, "D": params.depth, "eps_p": params.eps_p,
             "delta": params.delta, "method": est.method,
             "estimate": est.mean, "ci_low": est.ci_low,

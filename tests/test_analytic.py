@@ -412,12 +412,16 @@ def test_required_code_size_is_the_smallest(eps_p, eps_l, n):
 
 def test_required_code_size_near_the_upper_window_edge():
     # run-start tails need not fall with k between the optimum and
-    # delta_hi, so the bisection over k may pass the smallest n (26,299
-    # here); the n it returns still ends a failing n - 2
+    # delta_hi: here 26,299, 26,317 and 26,335 reach the target and the
+    # run starts between them do not, so a search over k may return any
+    # of them; the n it returns still ends a failing n - 2
     delta = window_delta(2, 0.005, "hi", 0.75)
     point = fixed_points(2, 0.005).point(delta)
     n = required_code_size(1e-6, point)
-    assert n % 2 == 1
+    passing = [m for m in (26_299, 26_309, 26_317, 26_327, 26_335)
+               if log10_logical_error(m, point) <= -6.0]
+    assert passing == [26_299, 26_317, 26_335]
+    assert n == 26_299
     assert log10_logical_error(n, point) <= -6.0
     assert log10_logical_error(n - 2, point) > -6.0
 
@@ -442,6 +446,102 @@ def test_required_code_size_reaches_the_smallest_normal_target():
     for target in (sys.float_info.min / 2, 5e-324, 0.0, 1.0):
         with pytest.raises(ValueError, match="target must be in"):
             required_code_size(target, point)
+
+
+def plain_bisection_code_size(eps_l: float,
+                              point: analytic.OperatingPoint) -> int:
+    """The code-size search without tail bounds: n = 1, then doubling and
+    bisection over k from that of the guess coeff * ln(1/eps_l), with an
+    exact tail at every run start it probes."""
+    log10_target = math.log10(eps_l)
+
+    def passes(k):
+        n = analytic._run_start(k, point.delta)
+        return log10_logical_error(n, point) <= log10_target
+
+    if passes(1):
+        return 1
+    guess = int(point.coefficient * math.log(1.0 / eps_l))
+    fail, k = 1, analytic.failure_threshold(guess, point.delta)
+    while not passes(k):
+        fail, k = k, 2 * k
+    while k - fail > 1:
+        mid = (fail + k) // 2
+        if passes(mid):
+            k = mid
+        else:
+            fail = mid
+    return analytic._run_start(k, point.delta)
+
+
+# the optimal delta at each (D, eps_p), with targets down to the smallest
+# normal
+BOUNDED_SEARCH_POINTS = list(itertools.product(
+    (2, 4, 6), (0.002, 0.005, 0.007),
+    (1e-6, 1e-12, 1e-20, 1e-100, sys.float_info.min)))
+
+
+def counted_tails(monkeypatch) -> list:
+    """The (n, p, k) of every exact tail analytic sums from now on."""
+    calls = []
+    tail = analytic.log_binom_tail
+
+    def counted(n, p, k):
+        calls.append((n, p, k))
+        return tail(n, p, k)
+
+    monkeypatch.setattr(analytic, "log_binom_tail", counted)
+    return calls
+
+
+@pytest.mark.parametrize("depth,eps_p,eps_l", BOUNDED_SEARCH_POINTS)
+def test_required_code_size_spends_at_most_three_exact_tails(
+        monkeypatch, depth, eps_p, eps_l):
+    # one tail at n = 1, then one each at a k that passes and at k - 1,
+    # where the bisection without bounds pays one per probe; both searches
+    # return the same n
+    point = fixed_points(depth, eps_p).point()
+    want = plain_bisection_code_size(eps_l, point)
+    calls = counted_tails(monkeypatch)
+    assert required_code_size(eps_l, point) == want
+    assert len(calls) <= 3, calls
+
+
+def test_required_code_size_matches_the_plain_bisection_at_1e_300():
+    # the n that CI's overhead check at eps_l = 1e-300 looks for
+    point = fixed_points(2, 0.005).point()
+    assert plain_bisection_code_size(1e-300, point) == 214_645
+    assert required_code_size(1e-300, point) == 214_645
+
+
+@pytest.mark.parametrize("skew", [-8.0, 8.0])
+def test_required_code_size_is_decided_by_exact_tails(monkeypatch, skew):
+    # a log-gamma off by skew moves both tail bounds by -skew nats, so
+    # every bracket they give misses: the exact tails that confirm it
+    # widen it up or down to the same n
+    lgamma = math.lgamma
+    monkeypatch.setattr(math, "lgamma", lambda x: lgamma(x) + skew)
+    for depth, eps_p in ((2, 0.005), (2, 0.007), (4, 0.005)):
+        point = fixed_points(depth, eps_p).point()
+        for eps_l in (1e-6, 1e-20, 1e-300):
+            assert (required_code_size(eps_l, point)
+                    == plain_bisection_code_size(eps_l, point))
+
+
+def test_required_code_size_near_the_window_edge_spends_no_more_tails(
+        monkeypatch):
+    # 0.9 of the way to delta_hi the tail bounds bracket a wide run of k;
+    # the plain bisection spends 15 exact tails here
+    delta = window_delta(2, 0.002, "hi", 0.9)
+    point = fixed_points(2, 0.002).point(delta)
+    calls = counted_tails(monkeypatch)
+    plain_bisection_code_size(1e-9, point)
+    assert len(calls) == 15
+    calls.clear()
+    n = required_code_size(1e-9, point)
+    assert len(calls) <= 15
+    assert log10_logical_error(n, point) <= -9.0
+    assert log10_logical_error(n - 2, point) > -9.0
 
 
 def test_number_overhead():

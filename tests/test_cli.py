@@ -241,6 +241,27 @@ def test_chi_names_the_n_whose_cones_are_not_trees(capsys, argv, warned):
                        "independent as the formula's are\n")
 
 
+@pytest.mark.parametrize("argv,warned", [
+    (["--n", "17", "--depth", "2", "--delta", "0.07"], None),
+    (["--n", "15", "--depth", "4"],
+     "offset-doubling EC block's cones are not trees at D = 4, n = 15"),
+    (["--n", "7", "--depth", "2", "--wiring", "shared"],
+     "shared EC block's cones are not trees at D = 2, n = 7"),
+    (["--n", "7", "--depth", "4", "--formula"], None),
+])
+def test_simulate_names_an_n_whose_cones_are_not_trees(capsys, argv,
+                                                        warned):
+    # the circuit variant warns as chi does, on stderr alone
+    code, out, err = run_cli(capsys, "simulate", "--eps-p", "0.005",
+                             "--method", "exact", *argv)
+    assert code == 0 and json.loads(out)["n"] == int(argv[1])
+    if warned is None:
+        assert err == ""
+    else:
+        assert err == (f"warning: the {warned}: its wires are not "
+                       "independent as the formula's are\n")
+
+
 def test_chi_csv_output(capsys, tmp_path):
     csv_path = tmp_path / "points.csv"
     code, _, _ = run_cli(capsys, "chi", "--n-range", "5,7,9,11",
@@ -608,9 +629,9 @@ CONFIG_PARITY = {
 }
 
 
-UNIT_D2_WARNING = ("warning: the unit EC block's cones are not trees at "
-                   "D = 2, n = 3, 5, 7, 9: its wires are not independent as "
-                   "the formula's are\n")
+# the unit wiring's cones are never trees; the n that chi and simulate
+# name in their warning at the configs' D = 2 (build does not warn)
+UNIT_D2_WARNED = {"chi": "3, 5, 7, 9", "simulate": "9"}
 
 
 @pytest.mark.parametrize("argv,config", CONFIG_PARITY.values(),
@@ -621,9 +642,12 @@ def test_config_prints_the_bytes_of_its_flags(capsys, tmp_path, monkeypatch,
     (tmp_path / "base.nl").write_text("in a\nin b\ng1 NAND a b\nout g1\n")
     (tmp_path / "cfg.json").write_text(json.dumps(config))
     code, want, err = run_cli(capsys, *argv, *_as_flags(config))
-    # only the chi config's unit wiring has cones that are not trees
-    warns = argv == ["chi"] and config.get("wiring") == "unit"
-    assert (code, err) == (0, UNIT_D2_WARNING if warns else "")
+    warned = ""
+    if config.get("wiring") == "unit" and argv[0] in UNIT_D2_WARNED:
+        warned = ("warning: the unit EC block's cones are not trees at "
+                  f"D = 2, n = {UNIT_D2_WARNED[argv[0]]}: its wires are not "
+                  "independent as the formula's are\n")
+    assert (code, err) == (0, warned)
     assert want
     for order in (argv + ["--config", "cfg.json"],
                   argv[:1] + ["--config", "cfg.json"] + argv[1:]):

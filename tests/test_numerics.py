@@ -53,6 +53,33 @@ def test_log_binom_tail_matches_full_sum():
     assert not off
 
 
+def test_log_binom_tail_lies_between_its_ratio_bounds():
+    # from k on the ratio of consecutive terms falls from r = (n - k)/(k + 1)
+    # p/(1 - p), so for r < 1 the tail lies between its term at k and that
+    # term over 1 - r; r stays below 0.99 so the tail sums a few thousand
+    # terms at most.  The logs of the bound and of the tail subtract
+    # log-gammas near lgamma(n + 1), so they may part by a few of its ulps
+    # beside the relative 1e-12
+    checked = 0
+    for n in (5, 9, 31, 101, 1_001, 7_689, 50_001, 220_161, 3_400_000_001):
+        ks = {1, 2, 3, 10, 35, 1_000, 10**5, 10**8}
+        ks |= {max(1, round(n * x)) for x in np.linspace(0.0, 1.0, 21)}
+        for p in np.geomspace(1e-9, 0.2, 13):
+            for k in sorted(k for k in ks if k <= n):
+                r = (n - k) / (k + 1) * (p / (1.0 - p))
+                if r >= 0.99:
+                    continue
+                term = (math.lgamma(n + 1) - math.lgamma(k + 1)
+                        - math.lgamma(n - k + 1) + k * math.log(p)
+                        + (n - k) * math.log1p(-p))
+                tail = log_binom_tail(n, p, k)
+                tol = 1e-12 * abs(tail) + 4 * math.ulp(math.lgamma(n + 1))
+                assert term - tol <= tail <= term - math.log1p(-r) + tol, (
+                    n, p, k)
+                checked += 1
+    assert checked > 2000
+
+
 def test_log_binom_tail_edges():
     assert log_binom_tail(10, 0.3, 0) == 0.0
     assert log_binom_tail(10, 0.3, -2) == 0.0
