@@ -363,19 +363,18 @@ def required_code_size(eps_l_target: float, point: OperatingPoint) -> int:
     still and drops at each step of k, so only the first odd n of a
     threshold run can be the smallest that passes.  At that n the ratio of
     consecutive terms of Pr[Bin(n, f) >= k] falls from r = (n - k)/(k + 1)
-    f/(1 - f) < 1 on, so the tail lies between its first term, term_k, and
-    term_k/(1 - r), each a few scalar log-gamma and log calls.  The search
-    checks n = 1, then runs doubling-and-bisection over k, from the k of
-    the guess coeff * ln(1/eps_l), on each bound: kb is the first k the
-    upper bound passes and ka the first the lower bound passes, so no k
-    below ka can.  The exact tail sits near the upper bound, so the finish
-    probes kb - 1, kb - 2, kb - 4, ... until a k fails or the next would
-    leave (ka - 1, kb], and bisects the last step.  The bounds only steer:
-    exact tails confirm that the k found passes and k - 1 fails, and where
-    one contradicts a bound (log-gamma rounding) the search widens, up by
-    doubling k from kb or down by bisecting from k = 1.  The run of k - 1
-    ends at n - 2 and its start fails, so tail(n - 2) does.  No k's exact
-    tail is summed twice in one call.
+    f/(1 - f) < 1 on, so the tail is at most term_k/(1 - r), a few scalar
+    log-gamma and log calls.  The search checks n = 1, then runs
+    doubling-and-bisection over k on that bound, from the k of the guess
+    coeff * ln(1/eps_l), to kb, the first k it passes.  The exact tail
+    mostly sits just below the bound, so exact tails probe kb - 1, kb - 2,
+    kb - 4, ... down to the first that fails, or to k = 1, and bisect the
+    last step; where kb itself fails (log-gamma rounding) the search
+    doubles k up from it.  The bound only steers: every k the bisection
+    starts from as failing has failed by its exact tail, k = 1 included,
+    and the k it returns passes by its own, so the run of k - 1, which
+    ends at n - 2 and whose start fails, makes tail(n - 2) fail with
+    nothing left to check.  No k's exact tail is summed twice in one call.
 
     n is the smallest that reaches the target whenever run-start tails
     fall with k, as at every optimal delta checked with eps_p <= 0.007
@@ -404,27 +403,19 @@ def required_code_size(eps_l_target: float, point: OperatingPoint) -> int:
         return 1
     log_f, log_1mf, odds = math.log(f), math.log1p(-f), f / (1.0 - f)
 
-    def bound_passes(k: int, upper: bool) -> bool:
+    def bound_passes(k: int) -> bool:
         n = _run_start(k, delta)
+        r = (n - k) / (k + 1) * odds
+        if r >= 1.0:
+            return False
         log_term = (math.lgamma(n + 1) - math.lgamma(k + 1)
                     - math.lgamma(n - k + 1) + k * log_f + (n - k) * log_1mf)
-        if upper:
-            r = (n - k) / (k + 1) * odds
-            if r >= 1.0:
-                return False
-            log_term -= math.log1p(-r)
-        return log_term <= log_target
+        return log_term - math.log1p(-r) <= log_target
 
     guess = int(point.coefficient * math.log(1.0 / eps_l_target))
-    start = failure_threshold(guess, delta)
-    kb = _lowest_passing(lambda k: bound_passes(k, True), 1, start)
-    ka = _lowest_passing(lambda k: bound_passes(k, False), 1, start)
-    # ka - 1 fails by the lower bound and k = 1 by its exact tail
-    ok, fail, step = kb, max(min(ka, kb) - 1, 1), 1
-    while kb - step > fail and passes(kb - step):
+    kb = _lowest_passing(bound_passes, 1, failure_threshold(guess, delta))
+    ok, step = kb, 1
+    while kb - step > 1 and passes(kb - step):
         ok, step = kb - step, 2 * step
-    # the k that failed, or the floor; _lowest_passing confirms ok
-    k = _lowest_passing(passes, max(fail, kb - step), ok)
-    if passes(k - 1):
-        k = _lowest_passing(passes, 1, k - 1)
-    return _run_start(k, delta)
+    # kb - step failed by its exact tail, or the floor k = 1 did
+    return _run_start(_lowest_passing(passes, max(kb - step, 1), ok), delta)

@@ -164,8 +164,12 @@ def _popcounts(n: int) -> np.ndarray:
     return _bit_sums([1] * n)
 
 
-def _build_nand_index(n: int,
-                      offsets: tuple[tuple[int, int], ...]) -> np.ndarray:
+@functools.lru_cache(maxsize=64)
+def _nand_index(n: int, offsets: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """The state each state of an n-wire bundle moves to through the NAND
+    layer whose output wire i reads input wires offsets[i]: the complement
+    of (the state's bits moved to the outputs that read them as first
+    input) & (the same for the second)."""
     # first[j] (second[j]) marks the gates whose first (second) input is
     # wire j; each output bit reads one input bit, so the bit sums are ORs
     first = [0] * n
@@ -176,27 +180,6 @@ def _build_nand_index(n: int,
     out = _bit_sums(first) & _bit_sums(second)
     out ^= (1 << n) - 1
     return out
-
-
-_cached_nand_index = functools.lru_cache(maxsize=64)(_build_nand_index)
-_NAND_SEEN: set[tuple[int, tuple[tuple[int, int], ...]]] = set()
-
-
-def _nand_index(n: int, offsets: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """The state each state of an n-wire bundle moves to through the NAND
-    layer whose output wire i reads input wires offsets[i]: the complement
-    of (the state's bits moved to the outputs that read them as first
-    input) & (the same for the second).
-
-    A layer is cached from its second use on.  A kept array takes fresh
-    pages, which cost more than the build (at n = 15 on a 2-core x86 VM,
-    about 190 us to fault 256 kB against 90-160 us to build), so a layer
-    used once, as in one `ftcircuit simulate`, costs an uncached build."""
-    key = (n, offsets)
-    if key in _NAND_SEEN:
-        return _cached_nand_index(n, offsets)
-    _NAND_SEEN.add(key)
-    return _build_nand_index(n, offsets)
 
 
 # wires mixed per noise step: the noise on n = 11..15 wires took 17, 15, 30,
@@ -220,9 +203,9 @@ class BundleState:
 
     The index arrays, built by doubling over the bits (_bit_sums), are
     shared: the popcount once per n, and a NAND layer's pushforward index
-    once per (n, offsets) that comes back, so a repeated step does only its
-    arithmetic.  The noise step is one small matrix product per group of
-    _NOISE_WIRES wires."""
+    once per (n, offsets), so a repeated step does only its arithmetic.
+    The noise step is one small matrix product per group of _NOISE_WIRES
+    wires."""
 
     def __init__(self, n: int, probs: np.ndarray):
         if probs.shape != _popcounts(n).shape:

@@ -507,6 +507,24 @@ def test_required_code_size_spends_at_most_three_exact_tails(
     assert len(calls) <= 3, calls
 
 
+@pytest.mark.parametrize("depth,eps_p,eps_l", BOUNDED_SEARCH_POINTS)
+def test_required_code_size_evaluates_one_tail_bound(monkeypatch, depth,
+                                                     eps_p, eps_l):
+    # the upper bound alone steers the search: its doubling and bisection
+    # take at most 17 evaluations of three log-gammas each here
+    point = fixed_points(depth, eps_p).point()
+    calls = []
+    lgamma = math.lgamma
+
+    def counted(x):
+        calls.append(x)
+        return lgamma(x)
+
+    monkeypatch.setattr(math, "lgamma", counted)
+    required_code_size(eps_l, point)
+    assert len(calls) <= 51
+
+
 def test_required_code_size_matches_the_plain_bisection_at_1e_300():
     # the n that CI's overhead check at eps_l = 1e-300 looks for
     point = fixed_points(2, 0.005).point()
@@ -516,9 +534,9 @@ def test_required_code_size_matches_the_plain_bisection_at_1e_300():
 
 @pytest.mark.parametrize("skew", [-8.0, 8.0])
 def test_required_code_size_is_decided_by_exact_tails(monkeypatch, skew):
-    # a log-gamma off by skew moves both tail bounds by -skew nats, so
-    # every bracket they give misses: the exact tails that confirm it
-    # widen it up or down to the same n
+    # a log-gamma off by skew moves the tail bound by -skew nats, so the
+    # k it picks misses: the exact tails that confirm it walk up from it
+    # by doubling or down by probing to the same n
     lgamma = math.lgamma
     monkeypatch.setattr(math, "lgamma", lambda x: lgamma(x) + skew)
     for depth, eps_p in ((2, 0.005), (2, 0.007), (4, 0.005)):
@@ -530,8 +548,8 @@ def test_required_code_size_is_decided_by_exact_tails(monkeypatch, skew):
 
 def test_required_code_size_near_the_window_edge_spends_no_more_tails(
         monkeypatch):
-    # 0.9 of the way to delta_hi the tail bounds bracket a wide run of k;
-    # the plain bisection spends 15 exact tails here
+    # 0.9 of the way to delta_hi the exact tail sits far below the upper
+    # bound; the plain bisection spends 15 exact tails here
     delta = window_delta(2, 0.002, "hi", 0.9)
     point = fixed_points(2, 0.002).point(delta)
     calls = counted_tails(monkeypatch)
@@ -539,7 +557,7 @@ def test_required_code_size_near_the_window_edge_spends_no_more_tails(
     assert len(calls) == 15
     calls.clear()
     n = required_code_size(1e-9, point)
-    assert len(calls) <= 15
+    assert len(calls) <= 11
     assert log10_logical_error(n, point) <= -9.0
     assert log10_logical_error(n - 2, point) > -9.0
 

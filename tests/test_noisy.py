@@ -740,22 +740,23 @@ def test_combine_iid_nand_is_the_reshape_butterfly_bit_for_bit():
 
 
 def test_index_arrays_are_shared():
-    # one popcount per n; a NAND index is built afresh on its first use and
-    # kept from its second, keyed by the offsets' values
+    # one popcount per n and one NAND index per (n, offsets), kept from its
+    # first use and keyed by the offsets' values
     n = 7
     offsets = tuple(((i + 3) % n, 2 * i % n) for i in range(n))
     first, second, third = (noisy._nand_index(n, tuple(list(offsets)))
                             for _ in range(3))
-    assert first is not second and second is third
-    assert first.tobytes() == second.tobytes()
+    assert first is second is third
+    fresh = noisy._nand_index.__wrapped__(n, offsets)
+    assert first.tobytes() == fresh.tobytes()
     pops = [noisy._popcounts(n) for _ in range(2)]
     assert pops[0] is pops[1]
 
 
 @pytest.mark.parametrize("stages", [1, 3])
 def test_exact_stage_error_repeats_its_bytes(stages):
-    # a NAND index is kept from its second use on, so the third call reads
-    # it from the cache; a cache that a step wrote into would move it
+    # a NAND index is kept from its first use on, so the later calls read
+    # it from the cache; a cache that a step wrote into would move them
     p = FtParams(15, 4, 0.005, fixed_points(4, 0.005).point().delta)
     laws = [exact_stage_error(p, "gadget", stages=stages).tobytes()
             for _ in range(3)]
