@@ -95,7 +95,9 @@ def estimate_chi(depth: int, eps_p: float, delta="optimal",
                                     samples=samples, seed=seed + i)
         circuit_points.append((n, est.mean, est.ci_low, est.ci_high))
         methods.append(est.method)
-        ref = circuit_logical_error(params, variant="formula", block="ec")
+        # the formula variant is its own reference
+        ref = est if variant == "formula" else circuit_logical_error(
+            params, variant="formula", block="ec")
         formula_points.append((n, ref.mean))
 
     circuit_fit = fit_effective_slope(circuit_points)

@@ -6,13 +6,14 @@ Two exact engines give the wrong-count law of a block; exact_stage_error
 picks one from the input alone.  The ring transfer-matrix engine serves
 one-stage gadget and EC blocks whose circulant offsets lie in [1, n - 1]
 and sum to at most RING_FRONTIER_CAP bits (offset-doubling at D = 2,
-unit at D <= 4), at any n: it scans the ring wire by wire, carrying the
-last off_l values of each layer, and reads the law off the trace of a
-product of n one-wire matrices, a sum of nonnegative terms.  Unit wiring
-at D = 4 is a different and much weaker construction than offset-doubling:
-for the gadget block at eps_p = 0.005 and the optimal delta = 0.1038, the
-circuit's mean wrong fraction over the formula's f is 3.009 for unit
-wiring at n = 13 and 15, against 0.9961 and 0.9985 for offset-doubling.
+unit at D <= 4), at any n: it scans the ring up to four wires per
+product, carrying the last off_l values of each layer, and reads the law
+off the trace of a product of n one-wire matrices, a sum of nonnegative
+terms.  Unit wiring at D = 4 is a different and much weaker construction
+than offset-doubling: for the gadget block at eps_p = 0.005 and the
+optimal delta = 0.1038, the circuit's mean wrong fraction over the
+formula's f is 3.009 for unit wiring at n = 13 and 15, against 0.9961
+and 0.9985 for offset-doubling.
 
 The 2^n engine serves every other input (D = 4 offset-doubling, the
 shared wiring, multi-stage chains) up to n = EXACT_ENGINE_CAP, a cap
@@ -23,7 +24,10 @@ Carlo apply; every NAND layer flips the value the bundle encodes, and
 the wrong-wire count is read against that value at the end.  i.i.d.
 output noise is an XOR convolution, applied a few wires at a time as one
 product with their flip matrix, whose entries are all nonnegative, so
-that small tails keep their relative accuracy.
+that small tails keep their relative accuracy.  The last NAND layer and
+its noise go straight into the count law: the state is binned by the
+popcount of its image under the layer, and the noise, which moves only
+the count, is one product with an (n + 1)-square flip-count matrix.
 """
 from __future__ import annotations
 
@@ -47,8 +51,8 @@ EXACT_ENGINE_CAP = 15
 RING_FRONTIER_CAP = 4
 """Largest frontier (sum of the EC offsets, in bits) of the ring engine.
 Its cost grows as 8^F: at n = 15 on a 2-core x86 machine, in repeated
-calls, F = 4 (unit D = 4) took 0.27-0.47 ms against 0.77-1.08 ms on the
-2^n engine, F = 6 (unit D = 6) 6.8-8.4 ms against 1.1-1.6 ms."""
+calls, F = 4 (unit D = 4) took 0.17-0.23 ms against 0.49-0.68 ms on the
+2^n engine, F = 6 (unit D = 6) 2.7-3.2 ms against 0.72-0.75 ms."""
 
 
 class ExactEngineError(CircuitError):
@@ -182,6 +186,13 @@ def _nand_index(n: int, offsets: tuple[tuple[int, int], ...]) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _nand_popcounts(n: int,
+                    offsets: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """The popcount of each state's image under a NAND layer."""
+    return _popcounts(n)[_nand_index(n, offsets)]
+
+
 # wires mixed per noise step: the noise on n = 11..15 wires took 17, 15, 30,
 # 49 and 84 us at 4, 21, 17, 31, 49 and 76 at 3, 13, 19, 28, 51 and 190 at
 # 5 (a BLAS slow path); an exact-engine benchmark round takes the same at 3
@@ -198,12 +209,28 @@ def _noise_kernel(k: int, eps_p: float) -> np.ndarray:
     return mix
 
 
+@functools.lru_cache(maxsize=32)
+def _flip_counts(n: int, eps_p: float) -> np.ndarray:
+    """Entry [c, c'] is the probability that i.i.d. Bernoulli(eps_p)
+    flips take n wires with c ones to c' ones: the convolution of the
+    ones each wire ends with ([eps_p, 1 - eps_p] for a 1, reversed for
+    a 0), every entry a sum of nonnegative products (read-only, as it
+    is shared)."""
+    one, zero = [eps_p, 1.0 - eps_p], [1.0 - eps_p, eps_p]
+    counts = np.array([functools.reduce(np.convolve,
+                                        [one] * c + [zero] * (n - c), [1.0])
+                       for c in range(n + 1)])
+    counts.flags.writeable = False
+    return counts
+
+
 class BundleState:
     """Joint law of an n-wire bundle: state s sets wire i to (s >> i) & 1.
 
     The index arrays, built by doubling over the bits (_bit_sums), are
     shared: the popcount once per n, and a NAND layer's pushforward index
-    once per (n, offsets), so a repeated step does only its arithmetic.
+    and the popcount of its image once per (n, offsets), so a repeated
+    step does only its arithmetic.
     The noise step is one small matrix product per group of _NOISE_WIRES
     wires."""
 
@@ -266,17 +293,34 @@ class BundleState:
                 t *= t
         self.probs = np.maximum(t[::-1], 0.0)
 
-    def wrong_count_distribution(self, encoded: int) -> np.ndarray:
+    def wrong_count_distribution(self, encoded: int,
+                                 offsets: tuple[tuple[int, int], ...]
+                                 | None = None,
+                                 eps_p: float = 0.0) -> np.ndarray:
         """Distribution of the number of wires that differ from the
-        encoded value; length n + 1."""
-        probs = self.probs[::-1] if encoded else self.probs
-        return np.bincount(_popcounts(self.n), weights=probs,
-                           minlength=self.n + 1)
+        encoded value; length n + 1.
+
+        Given offsets, the count is read through one more NAND layer with
+        those offsets and its i.i.d. eps_p noise (encoded is then the
+        value after it), without their 2^n steps: the state is binned by
+        the popcount of its image under the layer, and the noise, which
+        moves only the count, is one product with the flip-count
+        matrix."""
+        if offsets is None:
+            ones = np.bincount(_popcounts(self.n), weights=self.probs,
+                               minlength=self.n + 1)
+        else:
+            ones = np.bincount(_nand_popcounts(self.n, tuple(offsets)),
+                               weights=self.probs, minlength=self.n + 1
+                               ) @ _flip_counts(self.n, eps_p)
+        return ones[::-1] if encoded else ones
 
 
-def _apply_ec_block(state: BundleState, depth: int, eps_p: float,
+def _apply_ec_block(state: BundleState, layers: int, eps_p: float,
                     wiring: str):
-    for layer in range(1, depth + 1):
+    """Push the state through the first `layers` EC layers and their
+    noise."""
+    for layer in range(1, layers + 1):
         state.apply_wiring_layer(transform.ec_offsets(state.n, layer, wiring))
         state.apply_noise(eps_p)
 
@@ -299,19 +343,42 @@ def _ring_offsets(params: FtParams, wiring: str,
     return offsets if sum(offsets) <= RING_FRONTIER_CAP else None
 
 
-@functools.lru_cache(maxsize=32)
-def _ring_transfer(offsets: tuple[int, ...], eps_p: float,
-                   p_one: float) -> np.ndarray:
-    """The one-wire step of the ring scan: entry [s, z 2^F + s'] is the
-    weight of moving from frontier s to frontier s' over a wire whose
-    last-layer value is z (wrong when 1: the block encodes 0).
+# wires the ring scan advances per product: at n = 15 the D = 2
+# offset-doubling law (F = 3) took 114, 74, 54, 45, 37 and 35 us at 1, 2,
+# 3, 4, 6 and 8 wires, the D = 4 unit law (F = 4) 227, 191, 162, 158, 127
+# and 133 us, and at n = 101 (F = 3) 1.78, 1.31, 1.00, 0.87, 0.72 and
+# 0.66 ms; an exact-engine benchmark round takes the same at 4 and 8, and
+# 4 keeps the product buffer at 5 times q and the lift clamp at 2^250
+# (2-core x86, OpenBLAS 0.3.31, one thread)
+_RING_WIRES = 4
 
-    Layer l at wire j reads layer l - 1 at wires j and j - off_l, so the
-    scan carries the frontier s: the last off_l values of each layer
-    l - 1, one shift register per layer, newest value in its low bit
-    (F = sum of the offsets bits).  A wire takes 2^(1 + D) branches: its
-    input value (1 with probability p_one) and the eps_p flip of each
-    layer's NAND."""
+
+@functools.lru_cache(maxsize=128)
+def _ring_transfer(offsets: tuple[int, ...], eps_p: float, p_one: float,
+                   wires: int) -> np.ndarray:
+    """The step of the ring scan over `wires` wires: [P_0 | ... | P_m],
+    where P_d is the coefficient of z^d in (t0 + z t1)^m, the weight of
+    moving over m wires with d wrong.
+
+    One wire's step [t0 | t1] has entry [s, z 2^F + s'], the weight of
+    moving from frontier s to frontier s' over a wire whose last-layer
+    value is z (wrong when 1: the block encodes 0).  Layer l at wire j
+    reads layer l - 1 at wires j and j - off_l, so the scan carries the
+    frontier s: the last off_l values of each layer l - 1, one shift
+    register per layer, newest value in its low bit (F = sum of the
+    offsets bits).  A wire takes 2^(1 + D) branches: its input value (1
+    with probability p_one) and the eps_p flip of each layer's NAND.
+    m wires extend m - 1 by P_d = t0 Q_d + t1 Q_(d - 1), sums of
+    nonnegative products.  Read-only: every n at one input shares them."""
+    if wires > 1:
+        step = _ring_transfer(offsets, eps_p, p_one, 1)
+        fewer = _ring_transfer(offsets, eps_p, p_one, wires - 1)
+        size = step.shape[0]
+        blocks = np.zeros((size, (wires + 1) * size))
+        blocks[:, :-size] = step[:, :size] @ fewer
+        blocks[:, size:] += step[:, size:] @ fewer
+        blocks.flags.writeable = False
+        return blocks
     size = 1 << sum(offsets)
     state = np.arange(size)[:, None]
     branch = np.arange(2 << len(offsets))[None, :]
@@ -331,7 +398,7 @@ def _ring_transfer(offsets: tuple[int, ...], eps_p: float,
     step = np.bincount(index.ravel(),
                        weights=np.broadcast_to(weight, index.shape).ravel(),
                        minlength=2 * size * size).reshape(size, 2 * size)
-    step.flags.writeable = False  # every n at one input shares it
+    step.flags.writeable = False
     return step
 
 
@@ -343,40 +410,63 @@ def _ring_count_law(n: int, offsets: list[int], eps_p: float,
     for an F-bit frontier.
 
     q[k] 2^e[k] holds, for each start frontier (row) and current frontier
-    (column), the weight of the scans so far with k wrong wires, and one
-    wire maps it to q[k] t0 + q[k - 1] t1.  The trace closes the ring: a
-    scan that ends on its start frontier read the values the ring wraps
-    around to.  Every term is a sum of products of probabilities.  Every
-    R <= 32 wires, with w^R >= 2^-500 for the smallest positive step
-    weight w, each q[k] is rescaled by a power of two (exact) to a
-    maximum in [1/2, 1), so deep tails neither underflow nor lose
-    digits; a zero q[k] takes the scale of the q below it."""
-    step = _ring_transfer(tuple(offsets), eps_p, p_one)
+    (column), the weight of the scans so far with k wrong wires.  The
+    scan advances up to _RING_WIRES wires per step: m wires map q[k] to
+    the sum over d of q[k - d] P_d 2^(e[k - d] - e[k]), two products in
+    all: the stacked q times the cached blocks [P_0 | ... | P_m], then,
+    for each k, the lifts times a strided view that lines up q[k - d] P_d
+    over d.  The trace closes the ring: a scan that ends on its start
+    frontier read the values the ring wraps around to.  Every term is a
+    sum of products of probabilities.  Every R <= 32 wires, with
+    w^R >= 2^-500 for the smallest positive step weight w, each q[k] is
+    rescaled by a power of two (exact) to a maximum in [1/2, 1), so deep
+    tails neither underflow nor lose digits; a zero q[k] takes the scale
+    of the q below it.  No step runs past a rescale, and none advances
+    more than R wires."""
+    offsets = tuple(offsets)
+    step = _ring_transfer(offsets, eps_p, p_one, 1)
     size = step.shape[0]
     bits = max(1.0, -math.log2(step[step > 0].min()))
     every = max(1, min(32, int(500 / bits)))
+    wires = min(_RING_WIRES, every)  # the most one step advances
+    # no scale sits more than 2^gap below the one beneath it, so the lift
+    # over a step stays at most 2^1000; what that drops from q[k] is below
+    # 2^-1000 of q[k - 1]
+    gap = 1000 // wires
+    k = np.arange(n + 1)
     q = np.zeros((n + 1, size, size))
     q[0] = np.eye(size)
     e = np.zeros(n + 1, dtype=np.int64)
-    lift = np.ones(n + 1)  # lift[k] = 2^(e[k - 1] - e[k])
-    for top in range(1, n + 1):
-        if top % every == 0:
+    lift = np.ones((n + 1, 1, 1, wires + 1))  # 2^(e[k - d] - e[k])
+    # moved[wires + j, :, d] = q[j] P_d; the rows of no j stay 0
+    moved = np.zeros((wires + n + 1, size, wires + 1, size))
+    sj, sr, sd, sc = moved.strides
+    done = 0
+    while done < n:
+        if (done + 1) % every == 0:
             peak = q.max(axis=(1, 2))
             _, shift = np.frexp(peak)
-            k = np.arange(n + 1)
             scale = (e + shift)[np.maximum.accumulate(
                 np.where(peak > 0.0, k, 0))]
-            # no scale sits more than 2^1000 below the one beneath it, so
-            # the lift stays finite; what that drops from q[k] is below
-            # 2^-1000 of q[k - 1]
-            scale = np.maximum.accumulate(scale + 1000 * k) - 1000 * k
+            scale = np.maximum.accumulate(scale + gap * k) - gap * k
             np.ldexp(q, (e - scale)[:, None, None], out=q)
             e = scale
-            lift[1:] = np.ldexp(1.0, e[:-1] - e[1:])
-        # the scans over top - 1 wires have at most top - 1 wrong
-        out = (q[:top].reshape(-1, size) @ step).reshape(top, size, 2, size)
-        q[:top] = out[:, :, 0]
-        q[1:top + 1] += out[:, :, 1] * lift[1:top + 1, None, None]
+            for d in range(1, wires + 1):
+                lift[d:, 0, 0, d] = np.ldexp(1.0, e[:-d] - e[d:])
+        m = min(wires, n - done, every - (done + 1) % every)
+        # the scans over done wires have at most done wrong; the reshape
+        # merges axes adjacent in memory, so it is a view of moved
+        rows = moved[wires:wires + done + 1, :, :m + 1]
+        np.matmul(q[:done + 1].reshape(-1, size),
+                  _ring_transfer(offsets, eps_p, p_one, m),
+                  out=rows.reshape((done + 1) * size, -1))
+        # a view of moved whose [k, :, d] is q[k - d] P_d
+        skew = np.ndarray((done + m + 1, size, m + 1, size), buffer=moved,
+                          offset=wires * sj,
+                          strides=(sj, sr, sd - sj, sc))
+        np.matmul(lift[:done + m + 1, :, :, :m + 1], skew,
+                  out=q[:done + m + 1, :, None])
+        done += m
     return np.ldexp(np.trace(q, axis1=1, axis2=2), e)
 
 
@@ -430,10 +520,14 @@ def exact_stage_error(params: FtParams, block: str = "gadget",
         if stage > 0:
             state.combine_iid_nand()
             state.apply_noise(params.eps_p)
-        _apply_ec_block(state, params.depth, params.eps_p, wiring)
+        # the last layer of the chain is read straight into the count law
+        _apply_ec_block(state, params.depth - (stage == stages - 1),
+                        params.eps_p, wiring)
     # the first stage ends at encoded 0; each later stage's computation
     # layer flips the encoded value, which its D (even) EC layers keep
-    return state.wrong_count_distribution((stages - 1) % 2)
+    return state.wrong_count_distribution(
+        (stages - 1) % 2, transform.ec_offsets(params.n, params.depth, wiring),
+        params.eps_p)
 
 
 def tail_probability(dist: np.ndarray, threshold: int) -> float:

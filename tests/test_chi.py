@@ -53,6 +53,22 @@ def test_chi_formula_variant_is_one():
     assert est.chi == pytest.approx(1.0, abs=1e-9)
 
 
+def test_chi_formula_variant_sums_each_tail_once(monkeypatch):
+    # the formula variant is its own reference: one binomial tail per n
+    from ftcircuit import noisy
+    sizes = []
+    tail = noisy.binom_tail
+
+    def counted(n, p, k):
+        sizes.append(n)
+        return tail(n, p, k)
+
+    monkeypatch.setattr(noisy, "binom_tail", counted)
+    est = estimate_chi(2, 0.005, variant="formula")
+    assert sorted(sizes) == [5, 7, 9, 11, 13]
+    assert est.chi == pytest.approx(1.0, abs=1e-9)
+
+
 def test_chi_stable_across_ranges():
     a = estimate_chi(2, 0.005, n_range=(5, 7, 9, 11))
     b = estimate_chi(2, 0.005, n_range=(9, 11, 13, 15))

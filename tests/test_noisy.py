@@ -763,6 +763,54 @@ def test_exact_stage_error_repeats_its_bytes(stages):
     assert laws[1] == laws[0] and laws[2] == laws[0]
 
 
+def test_flip_counts_match_fraction_oracle():
+    # one state with c ones, every flip pattern enumerated in fractions
+    for eps_p in (0.005, 0.3):
+        eps = Fraction(eps_p)
+        for n in range(7):
+            got = noisy._flip_counts(n, eps_p)
+            assert got.shape == (n + 1, n + 1) and not got.flags.writeable
+            for c in range(n + 1):
+                want = [Fraction(0)] * (n + 1)
+                for flips in range(1 << n):
+                    k = bin(flips).count("1")
+                    want[bin(((1 << c) - 1) ^ flips).count("1")] += (
+                        eps ** k * (1 - eps) ** (n - k))
+                np.testing.assert_allclose(got[c], [float(x) for x in want],
+                                           rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("block,stages", [("ec", 1), ("gadget", 1),
+                                          ("gadget", 2), ("gadget", 3)])
+@pytest.mark.parametrize("wiring", ["offset-doubling", "unit", "shared"])
+def test_folded_last_layer_matches_its_steps(wiring, block, stages):
+    # the count read through the last NAND layer and its noise gives the
+    # law of the pushforward, noise step and popcount read it replaces;
+    # where the 2^n engine serves the input, exact_stage_error is that read
+    for n, depth in ((3, 2), (6, 2), (8, 4), (11, 2), (11, 4)):
+        p = FtParams(n, depth, 0.005, fixed_points(depth, 0.005).point().delta)
+        state = BundleState.iid(n, noisy._block_input_error(p, block))
+        for stage in range(1, stages + 1):
+            if stage > 1:
+                state.combine_iid_nand()
+                state.apply_noise(p.eps_p)
+            noisy._apply_ec_block(state, depth - (stage == stages), p.eps_p,
+                                  wiring)
+        last = transform.ec_offsets(n, depth, wiring)
+        encoded = (stages - 1) % 2
+        folded = state.wrong_count_distribution(encoded, last, p.eps_p)
+        state.apply_wiring_layer(last)
+        state.apply_noise(p.eps_p)
+        want = state.wrong_count_distribution(encoded)
+        assert (want > 0.0).all()
+        np.testing.assert_allclose(folded, want, rtol=1e-13, atol=0,
+                                   err_msg=f"n={n}, D={depth}")
+        if noisy._ring_offsets(p, wiring, stages) is None:
+            np.testing.assert_allclose(
+                exact_stage_error(p, block, wiring, stages), want,
+                rtol=1e-13, atol=0, err_msg=f"n={n}, D={depth}")
+
+
 def _bundle_block_law(p, block, wiring):
     """The one-stage count law on the 2^n engine, outside the dispatch."""
     state = BundleState.iid(p.n, noisy._block_input_error(p, block))
@@ -811,17 +859,94 @@ def test_ring_engine_predicate():
 
 
 def test_ring_step_is_cached_read_only():
-    # every n at one input shares the step, so no caller may write it
-    args = ((1, 2), 0.005, 0.01)
-    step = noisy._ring_transfer(*args)
-    assert noisy._ring_transfer(*args) is step
-    assert not step.flags.writeable
-    with pytest.raises(ValueError):
-        step[0, 0] = 1.0
-    fresh = noisy._ring_transfer.__wrapped__(*args)
-    assert fresh.tobytes() == step.tobytes()
+    # every n at one input shares the one-wire step and the blocks of
+    # several wires, so no caller may write them
+    for wires in (1, 4):
+        args = ((1, 2), 0.005, 0.01, wires)
+        step = noisy._ring_transfer(*args)
+        assert noisy._ring_transfer(*args) is step
+        assert not step.flags.writeable
+        with pytest.raises(ValueError):
+            step[0, 0] = 1.0
+        fresh = noisy._ring_transfer.__wrapped__(*args)
+        assert fresh.tobytes() == step.tobytes()
     laws = [noisy._ring_count_law(9, [1, 2], 0.005, 0.01) for _ in range(2)]
     assert laws[0].tobytes() == laws[1].tobytes()
+
+
+def _one_wire_ring_law(n, offsets, eps_p, p_one):
+    """The ring scan one wire per product, as the engine once ran it:
+    q[k] maps to q[k] t0 + q[k - 1] t1 with the same rescales, and no
+    scale more than 2^1000 below the one beneath it."""
+    step = noisy._ring_transfer(tuple(offsets), eps_p, p_one, 1)
+    size = step.shape[0]
+    bits = max(1.0, -math.log2(step[step > 0].min()))
+    every = max(1, min(32, int(500 / bits)))
+    q = np.zeros((n + 1, size, size))
+    q[0] = np.eye(size)
+    e = np.zeros(n + 1, dtype=np.int64)
+    lift = np.ones(n + 1)  # lift[k] = 2^(e[k - 1] - e[k])
+    for top in range(1, n + 1):
+        if top % every == 0:
+            peak = q.max(axis=(1, 2))
+            _, shift = np.frexp(peak)
+            k = np.arange(n + 1)
+            scale = (e + shift)[np.maximum.accumulate(
+                np.where(peak > 0.0, k, 0))]
+            scale = np.maximum.accumulate(scale + 1000 * k) - 1000 * k
+            np.ldexp(q, (e - scale)[:, None, None], out=q)
+            e = scale
+            lift[1:] = np.ldexp(1.0, e[:-1] - e[1:])
+        out = (q[:top].reshape(-1, size) @ step).reshape(top, size, 2, size)
+        q[:top] = out[:, :, 0]
+        q[1:top + 1] += out[:, :, 1] * lift[1:top + 1, None, None]
+    return np.ldexp(np.trace(q, axis1=1, axis2=2), e), every
+
+
+@pytest.mark.parametrize("offsets,eps_p,p_one,every", [
+    ((1, 2), 0.005, 0.06, 25), ((1, 2), 1e-4, 2e-3, 14),
+    ((1, 1, 1, 1), 0.005, 0.06, 14), ((1, 1, 1, 1), 1e-4, 2e-3, 8)])
+def test_ring_scan_matches_one_wire_recursion(offsets, eps_p, p_one, every):
+    # n = 1..40 ends blocks short of four wires and of a rescale, and the
+    # deep tails (eps_p = 1e-4) rescale several times within n
+    for n in range(1, 41):
+        want, at = _one_wire_ring_law(n, offsets, eps_p, p_one)
+        assert at == every
+        got = noisy._ring_count_law(n, list(offsets), eps_p, p_one)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0,
+                                   err_msg=f"n={n}")
+
+
+def test_ring_scan_lift_guard(monkeypatch):
+    # in the ring steps tried, a wrong wire costs one branch, of weight at
+    # least 2^-125 when the scan rescales every 4 or more wires, so
+    # adjacent counts' scales stay within ~2^127; this synthetic step
+    # charges three moves of weight 2^-120 per wrong wire after the first
+    # (0 -> 1 -> 2 -> 0, the last one wrong): it rescales every 4 wires,
+    # the scales sit about 2^364 apart, and an unguarded 4-wire lift would
+    # reach 2^1456
+    w = 2.0 ** -120
+    step = np.zeros((3, 6))
+    step[0, 0] = step[2, 2] = 1.0 - w
+    step[0, 1] = step[1, 2] = step[2, 3] = w
+    step.flags.writeable = False
+    blocks = noisy._ring_transfer.__wrapped__
+
+    def synthetic(offsets, eps_p, p_one, wires):
+        return step if wires == 1 else blocks(offsets, eps_p, p_one, wires)
+
+    monkeypatch.setattr(noisy, "_ring_transfer", synthetic)
+    for n in (9, 13, 21, 40):
+        want, every = _one_wire_ring_law(n, (1, 2), 0.0, 0.0)
+        assert every == 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = noisy._ring_count_law(n, [1, 2], 0.0, 0.0)
+        assert np.isfinite(got).all()
+        big = want > 1e-300
+        assert big[:3].all()
+        np.testing.assert_allclose(got[big], want[big], rtol=1e-13, atol=0,
+                                   err_msg=f"n={n}")
 
 
 @pytest.mark.parametrize("n", [17, 21])
