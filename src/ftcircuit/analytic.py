@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
-from .numerics import bisect, golden_min, log_binom_tail
+from .numerics import bisect, golden_min, log_binom_pmf, log_binom_tail
 
 
 def check_depth(depth: int):
@@ -363,18 +363,18 @@ def required_code_size(eps_l_target: float, point: OperatingPoint) -> int:
     still and drops at each step of k, so only the first odd n of a
     threshold run can be the smallest that passes.  At that n the ratio of
     consecutive terms of Pr[Bin(n, f) >= k] falls from r = (n - k)/(k + 1)
-    f/(1 - f) < 1 on, so the tail is at most term_k/(1 - r), a few scalar
-    log-gamma and log calls.  The search checks n = 1, then runs
+    f/(1 - f) < 1 on, so the tail is at most term_k/(1 - r): one
+    log_binom_pmf and a log1p.  The search checks n = 1, then runs
     doubling-and-bisection over k on that bound, from the k of the guess
     coeff * ln(1/eps_l), to kb, the first k it passes.  The exact tail
     mostly sits just below the bound, so exact tails probe kb - 1, kb - 2,
     kb - 4, ... down to the first that fails, or to k = 1, and bisect the
-    last step; where kb itself fails (log-gamma rounding) the search
-    doubles k up from it.  The bound only steers: every k the bisection
-    starts from as failing has failed by its exact tail, k = 1 included,
-    and the k it returns passes by its own, so the run of k - 1, which
-    ends at n - 2 and whose start fails, makes tail(n - 2) fail with
-    nothing left to check.  No k's exact tail is summed twice in one call.
+    last step; where kb itself fails (by rounding) the search doubles k up
+    from it.  The bound only steers: every k the bisection starts from as
+    failing has failed by its exact tail, k = 1 included, and the k it
+    returns passes by its own, so the run of k - 1, which ends at n - 2
+    and whose start fails, makes tail(n - 2) fail with nothing left to
+    check.  No k's exact tail is summed twice in one call.
 
     n is the smallest that reaches the target whenever run-start tails
     fall with k, as at every optimal delta checked with eps_p <= 0.007
@@ -401,16 +401,13 @@ def required_code_size(eps_l_target: float, point: OperatingPoint) -> int:
 
     if passes(1):
         return 1
-    log_f, log_1mf, odds = math.log(f), math.log1p(-f), f / (1.0 - f)
+    odds = f / (1.0 - f)
 
     def bound_passes(k: int) -> bool:
         n = _run_start(k, delta)
         r = (n - k) / (k + 1) * odds
-        if r >= 1.0:
-            return False
-        log_term = (math.lgamma(n + 1) - math.lgamma(k + 1)
-                    - math.lgamma(n - k + 1) + k * log_f + (n - k) * log_1mf)
-        return log_term - math.log1p(-r) <= log_target
+        return (r < 1.0
+                and log_binom_pmf(n, f, k) - math.log1p(-r) <= log_target)
 
     guess = int(point.coefficient * math.log(1.0 / eps_l_target))
     kb = _lowest_passing(bound_passes, 1, failure_threshold(guess, delta))

@@ -1,4 +1,5 @@
-"""Shared numerical routines: log-space binomial tails, bisection,
+"""Shared numerical routines: the log binomial pmf in Loader's
+saddle-point form and the log binomial tail built on it, bisection,
 golden-section optimization, Wilson confidence intervals, and an inverse
 complementary error function.
 
@@ -12,90 +13,91 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.special import erfcinv, gammaln
+from scipy.special import erfcinv
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def log_binom_tail(n: int, p: float, k: int) -> float:
-    """log of Pr[Binomial(n, p) >= k], summed in log space.
+def _stirlerr(j: int) -> float:
+    """ln j! - ln(sqrt(2 pi j) (j/e)^j) for j >= 1: a table to j = 15
+    (entry 0 is never read), then the Stirling series."""
+    if j <= 15:
+        return (0.0, 0.08106146679532726, 0.0413406959554093,
+                0.02767792568499834, 0.020790672103765093,
+                0.016644691189821193, 0.013876128823070748,
+                0.01189670994589177, 0.010411265261972096,
+                0.009255462182712733, 0.00833056343336287,
+                0.007573675487951841, 0.00694284010720953,
+                0.006408994188004207, 0.0059513701127588475,
+                0.005554733551962801)[j]
+    jj = j * j
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / jj) / jj)
+                      / jj) / jj) / j
 
-    Accurate down to tails around exp(-700) per term; returns -inf for
-    p = 0 with k > 0.  Above the mode only the terms that count are
-    summed: the ratio r of consecutive terms falls from k on, so the
-    terms past k + 1 + (39.2 + ln(1/(1-r)))/(-ln r) total less than
-    1e-17 of the term at k.
-    """
+
+def _bd0(x: float, mean: float) -> float:
+    """x ln(x/mean) + mean - x for x, mean > 0; near the mean by its
+    series in v = (x - mean)/(x + mean), which does not cancel."""
+    d = x - mean
+    if abs(d) >= 0.1 * (x + mean):
+        ratio = x / mean    # overflows only for a mean near underflow
+        return (x * (math.log(ratio) if ratio < math.inf
+                     else math.log(x) - math.log(mean)) + mean - x)
+    v = d / (x + mean)
+    s, term, j = d * v, 2.0 * x * v, 1
+    while True:
+        term, j = term * v * v, j + 2
+        s, last = s + term / j, s
+        if s == last:
+            return s
+
+
+def log_binom_pmf(n: int, p: float, k: int) -> float:
+    """log Pr[Binomial(n, p) = k] for 0 < p < 1 and 0 <= k <= n, in
+    Loader's saddle-point form (C. Loader, 2000, the method of R's
+    dbinom): Stirling errors and the deviances bd0 of k from np and of
+    n - k from nq, so no terms near n ln n cancel."""
+    if k == 0:
+        return n * math.log1p(-p)
+    if k == n:
+        return n * math.log(p)
+    return (_stirlerr(n) - _stirlerr(k) - _stirlerr(n - k)
+            - _bd0(k, n * p) - _bd0(n - k, n * (1.0 - p))
+            - 0.5 * math.log(2.0 * math.pi * k * (n - k) / n))
+
+
+def _log_falling_sum(a: int, b: int, odds: float) -> float:
+    """log(1 + sum over t >= 1 of the product of (a - s)/(b + 1 + s) odds
+    over s < t): a tail over its lead term, with a terms past the lead,
+    whose ratio of consecutive terms falls from r = a/(b + 1) odds < 1.
+    Past 1 + (39.2 + ln(1/(1-r)))/(-ln r) products the rest total less
+    than 1e-17 of the lead term, and are left out."""
+    r = a / (b + 1) * odds
+    if r == 0.0:
+        return 0.0
+    count = min(a, 1 + math.ceil((39.2 - math.log1p(-r)) / -math.log(r)))
+    ratios = np.arange(a, a - count, -1) / np.arange(b + 1, b + 1 + count)
+    return math.log1p(float(np.cumprod(ratios * odds).sum()))
+
+
+def log_binom_tail(n: int, p: float, k: int) -> float:
+    """log of Pr[Binomial(n, p) >= k], finite far below float underflow;
+    -inf for p = 0 with k > 0.  Above the mode it is log_binom_pmf at k
+    plus the falling sum of the term ratios from k up; at or below it,
+    log1p of minus the lower tail Pr[X <= k - 1], summed the same way
+    from k - 1 down, so it is never above 0.  Against a 40-digit sum it
+    is within 1e-13 + 4e-15 |ln tail|."""
     if k <= 0:
         return 0.0
     if k > n or p <= 0.0:
         return -math.inf
     if p >= 1.0:
         return 0.0
-    r = (n - k) / (k + 1) * (p / (1.0 - p))
-    if r >= 1.0:
-        last = n
-    elif r == 0.0:
-        last = k
-    else:
-        last = min(n, k + 1 + math.ceil((39.2 - math.log1p(-r))
-                                        / -math.log(r)))
-    return _log_sum_exp(_log_binom_terms(n, p, k, last))
-
-
-def _log_sum_exp(a: np.ndarray) -> float:
-    """log(sum(exp(a))) for finite a, by the steps of
-    scipy.special.logsumexp: the m maxima are split out of the sum of
-    the shifted exponentials, which is divided by m when it is not 0.
-    With one maximum, the usual case, the maximum is zeroed by its index
-    and the division by 1 and the log(1) = 0 are left out: the same
-    double."""
-    i = a.argmax()
-    a_max = a[i]
-    top = a == a_max
-    m = np.count_nonzero(top)
-    shifted = np.exp(a - a_max)
-    if m == 1:
-        shifted[i] = 0.0
-        return float(np.log1p(shifted.sum()) + a_max)
-    shifted[top] = 0.0
-    s = shifted.sum()
-    if s != 0.0:
-        s = s / m
-    return float(np.log1p(s) + np.log(m) + a_max)
-
-
-def _log_binom_terms(n: int, p: float, k: int, last: int) -> np.ndarray:
-    """log Pr[Binomial(n, p) = j] for j = k..last, for 0 < p < 1."""
-    ks = np.arange(k, last + 1)
-    return (_log_factorials(n, n)[0] - _log_factorials(k, last)
-            - _log_factorials(n - last, n - k)[::-1]
-            + ks * math.log(p) + (n - ks) * math.log1p(-p))
-
-
-# gammaln(j + 1) at index j, read-only once published; a call that needs
-# a longer table builds a new one, up to twice its need and at most the
-# cap, and swaps it in, so a reader never sees an entry being built.  Two
-# threads may race to swap; the loser's table is complete too, and a
-# shorter one swapped in last only costs a later rebuild
-_LOG_FACTORIAL_CAP = 1 << 17
-_log_factorial_table = np.empty(0)
-_log_factorial_table.flags.writeable = False
-
-
-def _log_factorials(lo: int, hi: int) -> np.ndarray:
-    """gammaln(j + 1) for j = lo..hi: a view of the table below the cap,
-    computed directly at or above it."""
-    global _log_factorial_table
-    if hi >= _LOG_FACTORIAL_CAP:
-        return gammaln(np.arange(lo + 1.0, hi + 2.0))
-    table = _log_factorial_table
-    if hi >= table.size:
-        size = min(2 * (hi + 1), _LOG_FACTORIAL_CAP)
-        table = gammaln(np.arange(1.0, size + 1.0))
-        table.flags.writeable = False
-        _log_factorial_table = table
-    return table[lo:hi + 1]
+    q = 1.0 - p
+    if (n - k) / (k + 1) * (p / q) < 1.0:
+        return log_binom_pmf(n, p, k) + _log_falling_sum(n - k, k, p / q)
+    return math.log1p(-math.exp(log_binom_pmf(n, p, k - 1)
+                                + _log_falling_sum(k - 1, n - k + 1, q / p)))
 
 
 def binom_tail(n: int, p: float, k: int) -> float:

@@ -12,7 +12,7 @@ from ftcircuit.analytic import (fixed_points, log10_logical_error,
                                 stage_error_depth2_closed_form)
 from ftcircuit.numerics import bisect, ols_fit
 from ftcircuit.resource import EXPONENTIAL, TailModel, overhead_ratio
-from test_numerics import full_log_tail, log_binom_terms
+from test_numerics import decimal_log_tail
 
 EVANS_PIPPENGER = (3.0 - math.sqrt(7.0)) / 4.0
 
@@ -345,15 +345,16 @@ def smallest_code_size(eps_l: float, depth: int, eps_p: float,
     """The smallest odd n whose tail reaches eps_l, and that tail, by a
     step-by-step walk up from n = 1: each odd n where k = ceil(delta n)
     steps up starts a threshold run and gets one full tail sum over k..n,
-    unless its term at k alone already exceeds eps_l.  Within a run the
-    tail rises with n, so no other n can be the first to pass."""
+    unless its term at k alone already exceeds eps_l; both in decimal.
+    Within a run the tail rises with n, so no other n can be the first to
+    pass."""
     f = stage_error(depth, eps_p, delta)
     target = math.log(eps_l)
     n, run_k = 1, 0
     while True:
         k = max(math.ceil(delta * n), 1)
-        if k > run_k and log_binom_terms(n, f, k) <= target:
-            tail = full_log_tail(n, f, k)
+        if k > run_k and decimal_log_tail(n, f, k, k) <= target:
+            tail = decimal_log_tail(n, f, k)
             if tail <= target:
                 return n, math.exp(tail)
         run_k = k
@@ -511,18 +512,18 @@ def test_required_code_size_spends_at_most_three_exact_tails(
 def test_required_code_size_evaluates_one_tail_bound(monkeypatch, depth,
                                                      eps_p, eps_l):
     # the upper bound alone steers the search: its doubling and bisection
-    # take at most 17 evaluations of three log-gammas each here
+    # take at most 17 evaluations of one term each here
     point = fixed_points(depth, eps_p).point()
     calls = []
-    lgamma = math.lgamma
+    pmf = analytic.log_binom_pmf
 
-    def counted(x):
-        calls.append(x)
-        return lgamma(x)
+    def counted(n, p, k):
+        calls.append((n, p, k))
+        return pmf(n, p, k)
 
-    monkeypatch.setattr(math, "lgamma", counted)
+    monkeypatch.setattr(analytic, "log_binom_pmf", counted)
     required_code_size(eps_l, point)
-    assert len(calls) <= 51
+    assert 0 < len(calls) <= 17
 
 
 def test_required_code_size_matches_the_plain_bisection_at_1e_300():
@@ -534,11 +535,12 @@ def test_required_code_size_matches_the_plain_bisection_at_1e_300():
 
 @pytest.mark.parametrize("skew", [-8.0, 8.0])
 def test_required_code_size_is_decided_by_exact_tails(monkeypatch, skew):
-    # a log-gamma off by skew moves the tail bound by -skew nats, so the
-    # k it picks misses: the exact tails that confirm it walk up from it
-    # by doubling or down by probing to the same n
-    lgamma = math.lgamma
-    monkeypatch.setattr(math, "lgamma", lambda x: lgamma(x) + skew)
+    # a bound term off by skew nats moves the k the bound picks; the exact
+    # tails, which read numerics' own log_binom_pmf, confirm it by walking
+    # up from it by doubling or down by probing to the same n
+    pmf = analytic.log_binom_pmf
+    monkeypatch.setattr(analytic, "log_binom_pmf",
+                        lambda n, p, k: pmf(n, p, k) + skew)
     for depth, eps_p in ((2, 0.005), (2, 0.007), (4, 0.005)):
         point = fixed_points(depth, eps_p).point()
         for eps_l in (1e-6, 1e-20, 1e-300):

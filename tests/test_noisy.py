@@ -419,6 +419,22 @@ def test_formula_variant_matches_binomial():
             assert abs(got - want) <= 1e-12 * want, (block, eps_p, n, fraction)
 
 
+def test_formula_variant_error_is_at_most_one():
+    # thresholds from 1 up to the mean wrong count, where the tail is
+    # nearly 1 and must not round above it
+    for n, block, delta in itertools.product(
+            (1_001, 4_001, 20_001, 100_001, 400_001), ("gadget", "ec"),
+            (0.01, 0.058, 0.2, 0.45)):
+        params = FtParams(n, 2, 0.005, delta)
+        wire = noisy.ec_error(2, 0.005, noisy._block_input_error(params,
+                                                                 block))
+        for fraction in (0.5 / n, 1.5 / n, 0.1 * wire, 0.5 * wire,
+                         0.99 * wire, wire):
+            est = circuit_logical_error(params, delta_threshold=fraction,
+                                        variant="formula", block=block)
+            assert 0.0 < est.mean <= 1.0, (n, block, delta, fraction)
+
+
 def test_formula_variant_refuses_monte_carlo():
     # the formula law is exact: there is nothing to sample
     p = FtParams(5, 2, 0.005, 0.058)

@@ -1,27 +1,41 @@
 import math
 import random
-import sys
-import threading
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import gammaln, logsumexp
 
 from ftcircuit import numerics
-from ftcircuit.numerics import bisect, log_binom_tail
+from ftcircuit.numerics import bisect, log_binom_pmf, log_binom_tail
 
 
-def log_binom_terms(n: int, p: float, ks: np.ndarray) -> np.ndarray:
-    """log Pr[Binomial(n, p) = k] for each k in ks, from gammaln itself
-    rather than the package's table."""
-    return (gammaln(n + 1) - gammaln(ks + 1) - gammaln(n - ks + 1)
-            + ks * math.log(p) + (n - ks) * math.log1p(-p))
+def decimal_log_tail(n: int, p: float, k: int, last: int | None = None
+                     ) -> float:
+    """ln of the sum of Pr[Binomial(n, p) = j] over j = k..last (n by
+    default), in 40-digit decimal arithmetic from the exact binomial
+    coefficient at k and the ratios of consecutive terms.  Once the ratio
+    r is below 1 the terms left total at most term r/(1 - r), and the sum
+    stops when that is below 1e-42 of it."""
+    last = n if last is None else last
+    with localcontext() as ctx:
+        ctx.prec = 40
+        p_ = Decimal(p)
+        odds = p_ / (1 - p_)
+        term = Decimal(math.comb(n, k)) * p_ ** k * (1 - p_) ** (n - k)
+        total = term
+        for j in range(k, last):
+            r = (n - j) / Decimal(j + 1) * odds
+            term *= r
+            total += term
+            if r < 1 and term * r / (1 - r) < Decimal("1e-42") * total:
+                break
+        return float(total.ln())
 
 
-def full_log_tail(n: int, p: float, k: int) -> float:
-    """Every term k..n of the tail, summed in log space."""
-    return float(logsumexp(log_binom_terms(n, p, np.arange(k, n + 1))))
+def within_stated_accuracy(got: float, want: float) -> bool:
+    """|got - want| <= 1e-13 + 4e-15 |want|, log_binom_tail's accuracy."""
+    return abs(got - want) <= 1e-13 + 4e-15 * abs(want)
 
 
 def tail_cases():
@@ -47,8 +61,9 @@ def tail_cases():
 def test_log_binom_tail_matches_full_sum():
     off = []
     for n, p, k in tail_cases():
-        want = full_log_tail(n, p, k)
-        if abs(log_binom_tail(n, p, k) - want) > 1e-14 * abs(want):
+        got = log_binom_tail(n, p, k)
+        if got > 0.0 or not within_stated_accuracy(
+                got, decimal_log_tail(n, p, k)):
             off.append((n, p, k))
     assert not off
 
@@ -57,9 +72,9 @@ def test_log_binom_tail_lies_between_its_ratio_bounds():
     # from k on the ratio of consecutive terms falls from r = (n - k)/(k + 1)
     # p/(1 - p), so for r < 1 the tail lies between its term at k and that
     # term over 1 - r; r stays below 0.99 so the tail sums a few thousand
-    # terms at most.  The logs of the bound and of the tail subtract
-    # log-gammas near lgamma(n + 1), so they may part by a few of its ulps
-    # beside the relative 1e-12
+    # terms at most.  The term here subtracts log-gammas near
+    # lgamma(n + 1), so it may be off by a few of its ulps beside the
+    # relative 1e-12
     checked = 0
     for n in (5, 9, 31, 101, 1_001, 7_689, 50_001, 220_161, 3_400_000_001):
         ks = {1, 2, 3, 10, 35, 1_000, 10**5, 10**8}
@@ -87,7 +102,7 @@ def test_log_binom_tail_edges():
     assert log_binom_tail(10, 0.3, 11) == -math.inf
     assert log_binom_tail(10, 0.0, 1) == -math.inf
     # k = n: the single term n log p
-    assert log_binom_tail(1, 0.01, 1) == full_log_tail(1, 0.01, 1)
+    assert log_binom_tail(1, 0.01, 1) == math.log(0.01)
     assert log_binom_tail(7, 0.2, 7) == pytest.approx(7 * math.log(0.2),
                                                       rel=1e-15)
 
@@ -96,91 +111,49 @@ def test_log_binom_tail_edges():
     (40, 0.3, 5, 40),             # r >= 1: below the mode every term counts
     (3, 5e-324, 2, 2),            # r = 0: (n - k)/(k + 1) * p underflows
     (7, 0.2, 7, 7),               # k = n: the single term n log p
-    (200_000, 0.05, 9_000, 200_000),    # r >= 1, n - k past the cap
+    (200_000, 0.05, 9_000, 200_000),    # r >= 1 at a large n
 ])
 def test_log_binom_tail_edge_branches_sum_the_oracle_terms(n, p, k, last):
-    # the terms k..last the branch keeps, each the same double as
-    # gammaln's own, through the same log-sum-exp
-    want = numerics._log_sum_exp(log_binom_terms(n, p,
-                                                 np.arange(k, last + 1)))
-    assert log_binom_tail(n, p, k) == want
+    # the terms k..last that the branch stands for, in decimal
+    got = log_binom_tail(n, p, k)
+    assert got <= 0.0
+    assert within_stated_accuracy(got, decimal_log_tail(n, p, k, last))
 
 
-def test_log_sum_exp_single_maximum_shortcut_is_the_same_double():
-    # the steps with the m maxima split out, written for any m
-    def log_sum_exp_steps(a):
-        a_max = a.max()
-        top = a == a_max
-        m = np.count_nonzero(top)
-        shifted = np.exp(a - a_max)
-        shifted[top] = 0.0
-        s = shifted.sum()
-        if s != 0.0:
-            s = s / m
-        return float(np.log1p(s) + np.log(m) + a_max)
-
-    rng = np.random.default_rng(5)
-    for size in (1, 2, 3, 17, 114, 1000):
-        for _ in range(200):
-            a = rng.normal(-700.0, rng.uniform(1e-3, 300.0), size)
-            if size > 1 and rng.random() < 0.3:
-                a[rng.integers(size)] = a.max()    # tied maxima
-            assert numerics._log_sum_exp(a) == log_sum_exp_steps(a)
+# k <= 15 reads the Stirling table, then each length of its series: to
+# 35, 80, 500 and past; k near np takes bd0's series, far from it its log
+PMF_CASES = [
+    (1, 0.3, 0), (1, 0.3, 1), (9, 0.4, 0), (9, 0.4, 9), (9, 0.4, 4),
+    (30, 0.5, 15), (30, 0.5, 16), (30, 0.02, 1), (60, 0.5, 30),
+    (60, 0.5, 36), (150, 0.3, 45), (150, 0.3, 90), (1_000, 0.3, 300),
+    (1_000, 0.3, 501), (120_001, 0.00292, 6_963), (120_001, 0.00292, 350),
+    (3_400_000_001, 3e-9, 35), (200_000, 1e-7, 1), (50, 0.45, 49),
+]
 
 
-@pytest.mark.parametrize("lo,hi", [
-    (0, numerics._LOG_FACTORIAL_CAP - 1),
-    (numerics._LOG_FACTORIAL_CAP - 9, numerics._LOG_FACTORIAL_CAP),
-    (10**8 - 9, 10**8),
-    (5, 5),
-])
-def test_log_factorials_are_gammaln(lo, hi):
-    got = numerics._log_factorials(lo, hi)
-    want = gammaln(np.arange(lo, hi + 1) + 1.0)
-    assert got.tobytes() == want.tobytes()
-    # the published table is read-only and never grows past its cap
-    assert not numerics._log_factorial_table.flags.writeable
-    assert numerics._log_factorial_table.size <= numerics._LOG_FACTORIAL_CAP
+@pytest.mark.parametrize("n,p,k", PMF_CASES)
+def test_log_binom_pmf_matches_decimal(n, p, k):
+    assert within_stated_accuracy(log_binom_pmf(n, p, k),
+                                  decimal_log_tail(n, p, k, k))
 
 
-def test_log_factorials_fill_is_safe_across_threads(monkeypatch):
-    # an empty table grown by more threads than cores, each reading
-    # ranges that others are extending; no reader may see an entry that
-    # is still being built
-    monkeypatch.setattr(numerics, "_log_factorial_table", np.empty(0))
-    want = gammaln(np.arange(1.0, 60_002.0))
-    bad = []
-
-    def reader(seed):
-        # each thread walks up in its own steps, so that its calls
-        # extend the table and read just below where others extend it
-        for hi in range(seed, 60_000, 29 + seed):
-            lo = max(0, hi - 64)
-            if not np.array_equal(numerics._log_factorials(lo, hi),
-                                  want[lo:hi + 1]):
-                bad.append((lo, hi))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=reader, args=(seed,))
-                   for seed in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60.0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert not bad
+def test_log_binom_tail_never_exceeds_one_below_the_mode():
+    # at or below the mode the tail is 1 less a lower tail, so its log
+    # is at most 0 however the terms round
+    cases = [(n, p, k) for n in (1_000, 4_001, 20_000, 100_001, 400_000)
+             for p in (0.01, 0.05, 0.2, 0.45)
+             for k in {1, 2, 3, 5, 8, 13, *(max(1, int(n * p * x)) for x in
+                                            (0.1, 0.5, 0.9, 0.99, 1.0))}]
+    assert max(log_binom_tail(n, p, k) for n, p, k in cases) <= 0.0
+    assert numerics.binom_tail(1_000, 0.05, 1) <= 1.0
 
 
 @pytest.mark.parametrize("n,k", [(3, 1), (5, 2)])
 def test_log_binom_tail_tied_maxima(n, k):
-    # at p = 1/2 the terms C(n, k) and C(n, k + 1) are the two largest;
-    # the sum splits both out of the shifted exponentials
-    terms = log_binom_terms(n, 0.5, np.arange(k, n + 1))
-    assert np.count_nonzero(terms == terms.max()) == 2
+    # at p = 1/2 the terms C(n, k) and C(n, k + 1) are the two largest
+    # and tie, so the ratio of the terms at k is exactly 1, where the tail
+    # turns from the upper sum to the lower one
+    assert math.comb(n, k) == math.comb(n, k + 1)
     exact = sum(Fraction(math.comb(n, j), 2 ** n) for j in range(k, n + 1))
     assert log_binom_tail(n, 0.5, k) == pytest.approx(math.log(exact),
                                                       rel=4e-15)
