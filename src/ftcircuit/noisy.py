@@ -272,22 +272,32 @@ class BundleState:
 
         The superset sums of the law of a & b are the squares of those of
         the state; Moebius inversion recovers that law, and reversing the
-        array complements every wire.  Each of the 2n passes folds bit 0
-        by a perfect shuffle into a spare buffer: the pairs (2j, 2j + 1)
-        give op(t[2j], t[2j + 1]) at j and t[2j + 1] at j + 2^(n-1), which
-        rotates bit 0 to the top.  After n passes every bit has been
-        folded once, bit 0 first, and every entry is back in place, having
-        seen the same operations in the same order as in-place folds
-        would give; each pass reads with stride 2 and writes contiguously.
+        array complements every wire.  Each shuffle pass folds bits 0 and
+        1 into a spare buffer (bit 0 alone in the last pass of an odd n):
+        with t_b = t[4j + b], the entry at b 2^(n-2) + j becomes c_b, where
+        c_0 = op(op(t_0, t_1), op(t_2, t_3)), c_1 = op(t_1, t_3),
+        c_2 = op(t_2, t_3) and c_3 = t_3, which rotates the two bits to
+        the top.  After the passes of one op every bit has been folded
+        once, bit 0 first, and every entry is back in place, having seen
+        the same operations in the same order as one in-place fold per
+        bit would give; each pass reads with stride 4 and writes
+        contiguously.
         """
         t = self.probs.copy()
         spare = np.empty_like(t)
-        half = t.size // 2
         for op in (np.add, np.subtract):
-            for _ in range(self.n):
-                pairs = t.reshape(half, 2)
-                op(pairs[:, 0], pairs[:, 1], out=spare[:half])
-                spare[half:] = pairs[:, 1]
+            for bit in range(0, self.n, 2):
+                if bit + 1 < self.n:
+                    quads, out = t.reshape(-1, 4), spare.reshape(4, -1)
+                    op(quads[:, 0], quads[:, 1], out=out[0])
+                    op(quads[:, 2], quads[:, 3], out=out[2])
+                    op(out[0], out[2], out=out[0])
+                    op(quads[:, 1], quads[:, 3], out=out[1])
+                    out[3] = quads[:, 3]
+                else:
+                    pairs, out = t.reshape(-1, 2), spare.reshape(2, -1)
+                    op(pairs[:, 0], pairs[:, 1], out=out[0])
+                    out[1] = pairs[:, 1]
                 t, spare = spare, t
             if op is np.add:
                 t *= t
@@ -316,12 +326,21 @@ class BundleState:
         return ones[::-1] if encoded else ones
 
 
+@functools.lru_cache(maxsize=256)
+def _ec_offsets(n: int, layer: int,
+                wiring: str) -> tuple[tuple[int, int], ...]:
+    """transform.ec_offsets, built once per (n, layer, wiring) and shared:
+    the 2^n engine reads them only at n <= EXACT_ENGINE_CAP, and the
+    circuit builder builds its own at any n."""
+    return transform.ec_offsets(n, layer, wiring)
+
+
 def _apply_ec_block(state: BundleState, layers: int, eps_p: float,
                     wiring: str):
     """Push the state through the first `layers` EC layers and their
     noise."""
     for layer in range(1, layers + 1):
-        state.apply_wiring_layer(transform.ec_offsets(state.n, layer, wiring))
+        state.apply_wiring_layer(_ec_offsets(state.n, layer, wiring))
         state.apply_noise(eps_p)
 
 
@@ -402,6 +421,16 @@ def _ring_transfer(offsets: tuple[int, ...], eps_p: float, p_one: float,
     return step
 
 
+@functools.lru_cache(maxsize=128)
+def _ring_period(offsets: tuple[int, ...], eps_p: float, p_one: float) -> int:
+    """R, the most wires the ring scan runs between two rescales: at most
+    32, with w^R >= 2^-500 for the smallest positive weight w of the
+    one-wire step.  One per input, as the step is."""
+    step = _ring_transfer(offsets, eps_p, p_one, 1)
+    bits = max(1.0, -math.log2(step[step > 0].min()))
+    return max(1, min(32, int(500 / bits)))
+
+
 def _ring_count_law(n: int, offsets: list[int], eps_p: float,
                     p_one: float) -> np.ndarray:
     """Wrong-count law of an n-wire circulant EC block fed i.i.d. inputs
@@ -417,17 +446,14 @@ def _ring_count_law(n: int, offsets: list[int], eps_p: float,
     for each k, the lifts times a strided view that lines up q[k - d] P_d
     over d.  The trace closes the ring: a scan that ends on its start
     frontier read the values the ring wraps around to.  Every term is a
-    sum of products of probabilities.  Every R <= 32 wires, with
-    w^R >= 2^-500 for the smallest positive step weight w, each q[k] is
-    rescaled by a power of two (exact) to a maximum in [1/2, 1), so deep
-    tails neither underflow nor lose digits; a zero q[k] takes the scale
-    of the q below it.  No step runs past a rescale, and none advances
-    more than R wires."""
+    sum of products of probabilities.  Every R = _ring_period wires each
+    q[k] is rescaled by a power of two (exact) to a maximum in [1/2, 1),
+    so deep tails neither underflow nor lose digits; a zero q[k] takes
+    the scale of the q below it.  No step runs past a rescale, and none
+    advances more than R wires."""
     offsets = tuple(offsets)
-    step = _ring_transfer(offsets, eps_p, p_one, 1)
-    size = step.shape[0]
-    bits = max(1.0, -math.log2(step[step > 0].min()))
-    every = max(1, min(32, int(500 / bits)))
+    size = _ring_transfer(offsets, eps_p, p_one, 1).shape[0]
+    every = _ring_period(offsets, eps_p, p_one)
     wires = min(_RING_WIRES, every)  # the most one step advances
     # no scale sits more than 2^gap below the one beneath it, so the lift
     # over a step stays at most 2^1000; what that drops from q[k] is below
@@ -526,7 +552,7 @@ def exact_stage_error(params: FtParams, block: str = "gadget",
     # the first stage ends at encoded 0; each later stage's computation
     # layer flips the encoded value, which its D (even) EC layers keep
     return state.wrong_count_distribution(
-        (stages - 1) % 2, transform.ec_offsets(params.n, params.depth, wiring),
+        (stages - 1) % 2, _ec_offsets(params.n, params.depth, wiring),
         params.eps_p)
 
 

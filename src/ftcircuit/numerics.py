@@ -1,7 +1,9 @@
 """Shared numerical routines: the log binomial pmf in Loader's
 saddle-point form and the log binomial tail built on it, bisection,
-golden-section optimization, Wilson confidence intervals, and an inverse
-complementary error function.
+golden-section optimization, Wilson confidence intervals, a least-squares
+line, and an inverse complementary error function.  The least-squares
+line is centred and summed in math.fsum, without numpy; scipy is imported
+only by the inverse error function, the one routine that needs it.
 
 The root finders here bracket.  The one Newton iteration in the package,
 the pseudothreshold's tangency solve in analytic, checks its answer
@@ -13,7 +15,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.special import erfcinv
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -177,20 +178,29 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 def inverse_erfc(y: float) -> float:
     """x such that erfc(x) = y, for y in (0, 2)."""
+    from scipy.special import erfcinv
     if not 0.0 < y < 2.0:
         raise ValueError(f"inverse_erfc domain is (0, 2), got {y}")
     return float(erfcinv(y))
 
 
 def ols_fit(x, y) -> tuple[float, float, float]:
-    """Ordinary least squares y = a x + b; returns (slope, intercept, r^2)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size < 2 or np.allclose(x, x[0]):
+    """Ordinary least squares y = a x + b; returns (slope, intercept, r^2).
+
+    The fit is centred: x and y less their means, with each sum of
+    products taken exactly by math.fsum and rounded once, so x near 10^6
+    loses no digits of the slope.  Raises ValueError for fewer than two
+    points or all x equal."""
+    x = [float(v) for v in x]
+    y = [float(v) for v in y]
+    if len(x) < 2 or min(x) == max(x):
         raise ValueError("need >= 2 distinct x values")
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_res = float(np.dot(resid, resid))
-    ss_tot = float(np.dot(y - y.mean(), y - y.mean()))
+    mean_x, mean_y = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx = [v - mean_x for v in x]
+    dy = [v - mean_y for v in y]
+    slope = (math.fsum(a * b for a, b in zip(dx, dy))
+             / math.fsum(a * a for a in dx))
+    ss_res = math.fsum((b - slope * a) ** 2 for a, b in zip(dx, dy))
+    ss_tot = math.fsum(b * b for b in dy)
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), r2
+    return slope, mean_y - slope * mean_x, r2

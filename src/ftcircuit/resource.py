@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 
 from . import analytic
 from .numerics import inverse_erfc
-from scipy.special import erfc
 
 EXPONENTIAL = "exponential"
 GAUSSIAN = "gaussian"
@@ -77,6 +76,7 @@ def error_from_signal(t: TailModel, r: float) -> float:
     if t.kind == EXPONENTIAL:
         eps = t.C * math.exp(-r / t.alpha)
     elif t.kind == GAUSSIAN:
+        from scipy.special import erfc
         eps = 0.5 * t.C * erfc(r / (math.sqrt(2.0) * t.sigma))
     else:
         eps = 0.5 * t.C * (t.beta / (t.beta + r)) ** t.gamma

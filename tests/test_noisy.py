@@ -634,6 +634,25 @@ def test_formula_chi_leaves_scipy_stats_unimported():
     assert run.stdout.strip() == "False"
 
 
+def test_analyze_and_exact_simulate_leave_scipy_unimported():
+    # scipy serves the Gaussian tail alone
+    src = os.path.dirname(os.path.dirname(ftcircuit.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import contextlib, io, sys\n"
+            "from ftcircuit.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['analyze', '--depth', '2', '--eps-p', "
+            "'0.005']) == 0\n"
+            "    assert main(['simulate', '--n', '9', '--eps-p', '0.005', "
+            "'--method', 'exact']) == 0\n"
+            "print('scipy' in sys.modules)\n")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "False"
+
+
 def _random_state(n, seed):
     # a non-product law: every entry independent, none zero
     probs = np.random.default_rng(seed).random(1 << n) + 0.01
@@ -767,6 +786,30 @@ def test_index_arrays_are_shared():
     assert first.tobytes() == fresh.tobytes()
     pops = [noisy._popcounts(n) for _ in range(2)]
     assert pops[0] is pops[1]
+
+
+def test_ec_offsets_and_ring_period_are_shared_and_bounded():
+    # the 2^n engine's EC offsets, one tuple per (n, layer, wiring), are
+    # transform's; the ring period, one per input, is the one its step
+    # gives; both caches have a finite size
+    first, second = (noisy._ec_offsets(13, 3, "offset-doubling")
+                     for _ in range(2))
+    assert first is second
+    assert first == transform.ec_offsets(13, 3, "offset-doubling")
+    key = ((1, 2), 0.005, 0.06)
+    periods = [noisy._ring_period(*key) for _ in range(2)]
+    assert periods[0] == periods[1] == noisy._ring_period.__wrapped__(*key)
+    for cached in (noisy._ec_offsets, noisy._ring_period):
+        assert cached.cache_info().maxsize is not None
+
+
+def test_ring_law_repeats_its_bytes():
+    # the ring engine's transfer blocks and period are kept from their
+    # first use; a cache written in place would move the later laws
+    p = FtParams(15, 2, 0.005, fixed_points(2, 0.005).point().delta)
+    assert noisy._ring_offsets(p, "offset-doubling", 1) is not None
+    laws = [exact_stage_error(p, "gadget").tobytes() for _ in range(3)]
+    assert laws[1] == laws[0] and laws[2] == laws[0]
 
 
 @pytest.mark.parametrize("stages", [1, 3])
@@ -952,6 +995,8 @@ def test_ring_scan_lift_guard(monkeypatch):
         return step if wires == 1 else blocks(offsets, eps_p, p_one, wires)
 
     monkeypatch.setattr(noisy, "_ring_transfer", synthetic)
+    # the rescale period is read from the synthetic step, not the cache
+    monkeypatch.setattr(noisy, "_ring_period", noisy._ring_period.__wrapped__)
     for n in (9, 13, 21, 40):
         want, every = _one_wire_ring_law(n, (1, 2), 0.0, 0.0)
         assert every == 4

@@ -199,3 +199,56 @@ def test_wilson_interval_refuses_zero_trials():
     with pytest.raises(ValueError) as exc:
         numerics.wilson_interval(0, 0)
     assert str(exc.value) == "trials must be positive"
+
+
+def _fraction_ols(x, y):
+    """The exact least-squares line of integer data in rationals:
+    (slope, intercept, r^2, Sxx, Syy, mean x, mean y)."""
+    mx, my = Fraction(sum(x), len(x)), Fraction(sum(y), len(y))
+    sxx = sum((a - mx) ** 2 for a in x)
+    sxy = sum((a - mx) * (b - my) for a, b in zip(x, y))
+    syy = sum((b - my) ** 2 for b in y)
+    slope = sxy / sxx
+    r2 = Fraction(1) if syy == 0 else sxy * sxy / (sxx * syy)
+    return slope, my - slope * mx, r2, sxx, syy, mx, my
+
+
+def test_ols_fit_matches_fraction_oracle():
+    # integer data of 2 to 12 points with x up to 2e6, some lines with
+    # +-1 noise; the slope is checked on the scale of the data's spread,
+    # sqrt(Syy / Sxx), and the intercept on that of its terms
+    rng = random.Random(33)
+    for _ in range(2000):
+        m = rng.randint(2, 12)
+        scale = rng.choice([10, 1000, 10 ** 6])
+        shift = rng.choice([0, 0, 10 ** 6])
+        x = [v + shift for v in rng.sample(range(-scale, scale), m)]
+        if rng.random() < 0.3:
+            y = [3 * a - 7 + rng.randint(-1, 1) for a in x]
+        else:
+            y = [rng.randint(-scale, scale) for _ in x]
+        slope, icpt, r2 = numerics.ols_fit(x, y)
+        want, want_icpt, want_r2, sxx, syy, mx, my = _fraction_ols(x, y)
+        spread = math.sqrt(syy / sxx)
+        assert (abs(Fraction(slope) - want)
+                <= 1e-15 * max(spread, abs(float(want)))), (x, y)
+        assert (abs(Fraction(icpt) - want_icpt)
+                <= 1e-15 * max(abs(float(my)), spread * abs(float(mx)), 1.0))
+        assert abs(Fraction(r2) - want_r2) <= 1e-15, (x, y)
+
+
+def test_ols_fit_keeps_the_digits_of_large_x():
+    # x near 10^6 are distinct, and x near 2e5 lose no digits of the slope
+    assert numerics.ols_fit([1000001, 1000003, 1000005, 1000007],
+                            [1, 2, 3, 4])[0] == 0.5
+    slope = numerics.ols_fit([200001, 200003, 200005, 200007],
+                             [1, 2, 3, 4])[0]
+    assert abs(slope - 0.5) <= 1e-15
+
+
+@pytest.mark.parametrize("x,y", [([3.0], [1.0]), ([], []),
+                                 ([5, 5, 5], [1, 2, 3])])
+def test_ols_fit_refuses_fewer_than_two_distinct_x(x, y):
+    with pytest.raises(ValueError) as exc:
+        numerics.ols_fit(x, y)
+    assert str(exc.value) == "need >= 2 distinct x values"
