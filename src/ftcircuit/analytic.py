@@ -53,17 +53,6 @@ def _layers(eps_p: float,
     return run
 
 
-def _layer_slopes(e: float, q: float,
-                  fed_one: bool) -> tuple[float, float, float]:
-    """(d/de, d2/de2, d/deps_p) of one layer of _layers at e, with q =
-    1 - 2 eps_p."""
-    if fed_one:
-        p, p1, p2 = 2.0 * e - e * e, 2.0 - 2.0 * e, -2.0
-    else:
-        p, p1, p2 = e * e, 2.0 * e, 2.0
-    return q * p1, q * p2, 1.0 - 2.0 * p
-
-
 @functools.cache
 def _ec_layers(depth: int) -> tuple[bool, ...]:
     """For each of the D layers of an error-correction block whose input
@@ -205,7 +194,9 @@ def _stage_error_derivatives(depth: int, eps_p: float) -> Callable:
     """delta -> (f, df/ddelta, d2f/ddelta2, df/deps_p) of the stage error
     curve of (depth, eps_p), by the forward chain rule through its layers;
     f is the curve's own value.  q and each layer's one-layer closure of
-    _layers are bound once for all its evaluations."""
+    _layers are bound once for all its evaluations.  Each layer's slopes
+    (d/de, d2/de2, d/deps_p) at e come from P(e), P'(e) and P''(e), with
+    P as in _layers."""
     q = 1.0 - 2.0 * eps_p
     walk = tuple((fed_one, _layers(eps_p, (fed_one,)))
                  for fed_one in (True, *_ec_layers(depth)))
@@ -213,7 +204,11 @@ def _stage_error_derivatives(depth: int, eps_p: float) -> Callable:
     def jet(delta: float) -> tuple[float, float, float, float]:
         e, d1, d2, d_eps = delta, 1.0, 0.0, 0.0
         for fed_one, layer in walk:
-            s1, s2, s_eps = _layer_slopes(e, q, fed_one)
+            if fed_one:
+                p, p1, p2 = 2.0 * e - e * e, 2.0 - 2.0 * e, -2.0
+            else:
+                p, p1, p2 = e * e, 2.0 * e, 2.0
+            s1, s2, s_eps = q * p1, q * p2, 1.0 - 2.0 * p
             d1, d2, d_eps = s1 * d1, s2 * d1 * d1 + s1 * d2, s_eps + s1 * d_eps
             e = layer(e)
         return e, d1, d2, d_eps

@@ -2,16 +2,18 @@
 saddle-point form and the log binomial tail built on it, bisection,
 golden-section optimization, Wilson confidence intervals, a least-squares
 line, and an inverse complementary error function.  The least-squares
-line is centred and summed in math.fsum, without numpy; scipy is imported
-only by the inverse error function, the one routine that needs it.
+line is centred and summed in math.fsum, without numpy; the inverse error
+function is the standard library's normal quantile.
 
-The root finders here bracket.  The one Newton iteration in the package,
-the pseudothreshold's tangency solve in analytic, checks its answer
-against the golden-section window search before returning it.
+The root finders here bracket.  The package's two Newton iterations are
+in analytic: the tangency solve in delta, and the pseudothreshold's
+safeguarded Newton in eps_p around it, which checks its answer against
+the golden-section window search before returning it.
 """
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
@@ -177,11 +179,12 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 
 def inverse_erfc(y: float) -> float:
-    """x such that erfc(x) = y, for y in (0, 2)."""
-    from scipy.special import erfcinv
+    """x such that erfc(x) = y, for y in (0, 2).  The smallest subnormal
+    y, whose half rounds to 0, raises statistics.StatisticsError, a
+    ValueError."""
     if not 0.0 < y < 2.0:
         raise ValueError(f"inverse_erfc domain is (0, 2), got {y}")
-    return float(erfcinv(y))
+    return -NormalDist().inv_cdf(0.5 * y) / math.sqrt(2.0)
 
 
 def ols_fit(x, y) -> tuple[float, float, float]:

@@ -76,8 +76,7 @@ def error_from_signal(t: TailModel, r: float) -> float:
     if t.kind == EXPONENTIAL:
         eps = t.C * math.exp(-r / t.alpha)
     elif t.kind == GAUSSIAN:
-        from scipy.special import erfc
-        eps = 0.5 * t.C * erfc(r / (math.sqrt(2.0) * t.sigma))
+        eps = 0.5 * t.C * math.erfc(r / (math.sqrt(2.0) * t.sigma))
     else:
         eps = 0.5 * t.C * (t.beta / (t.beta + r)) ** t.gamma
     if eps > 0.5:

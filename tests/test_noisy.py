@@ -621,36 +621,35 @@ def test_formula_distribution_noiseless_edge():
             assert est.mean == 0.0
 
 
-def test_formula_chi_leaves_scipy_stats_unimported():
-    src = os.path.dirname(os.path.dirname(ftcircuit.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, ftcircuit\n"
-            "ftcircuit.estimate_chi(2, 0.005, variant='formula')\n"
-            "print('scipy.stats' in sys.modules)\n")
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "False"
-
-
 def test_analyze_and_exact_simulate_leave_scipy_unimported():
-    # scipy serves the Gaussian tail alone
+    # the package runs on numpy alone: every command, the Gaussian tail
+    # included, succeeds with scipy blocked
     src = os.path.dirname(os.path.dirname(ftcircuit.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    commands = [
+        ["threshold", "--depth", "2"],
+        ["analyze", "--depth", "2", "--eps-p", "0.005"],
+        ["simulate", "--n", "9", "--eps-p", "0.005", "--method", "exact"],
+        ["simulate", "--n", "9", "--eps-p", "0.005", "--method",
+         "monte_carlo", "--samples", "20000", "--seed", "7"],
+        ["chi", "--depth", "2", "--method", "exact"],
+        ["chi", "--depth", "2", "--formula"],
+        ["overhead", "--tail", "gaussian", "--eps-l", "1e-12"],
+        ["phase", "--tail", "gaussian", "--wp-ratio", "2e-4",
+         "--axis1", "eps_p=0.003:0.007:3",
+         "--axis2", "eps_l=1e-20:1e-10:3:log"],
+    ]
     code = ("import contextlib, io, sys\n"
+            "sys.modules['scipy'] = None\n"
             "from ftcircuit.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert main(['analyze', '--depth', '2', '--eps-p', "
-            "'0.005']) == 0\n"
-            "    assert main(['simulate', '--n', '9', '--eps-p', '0.005', "
-            "'--method', 'exact']) == 0\n"
-            "print('scipy' in sys.modules)\n")
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n")
     run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "False"
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def _random_state(n, seed):

@@ -37,6 +37,12 @@ def test_inverse_erfc_domain():
     for bad in (0.0, 2.0, -0.1, 2.5):
         with pytest.raises(ValueError):
             inverse_erfc(bad)
+    # the smallest subnormal is in (0, 2), but its half rounds to 0: it is
+    # refused, not turned into x = inf and so W = inf
+    with pytest.raises(ValueError):
+        inverse_erfc(5e-324)
+    with pytest.raises(ValueError):
+        resource_tradeoff(TailModel(GAUSSIAN, C=2.0), 5e-324)
 
 
 def test_tail_model_validation():
@@ -88,7 +94,8 @@ def test_resource_tradeoff_inverts_error_from_signal():
         for model in (TailModel(EXPONENTIAL, A=3.0, alpha=0.7, C=C),
                       TailModel(GAUSSIAN, A=3.0, sigma=0.7, C=C),
                       TailModel(PARETO, A=3.0, beta=0.7, gamma=1.5, C=C)):
-            for eps in (0.2, 0.01, 1e-6, 1e-15, 1e-30):
+            for eps in (0.2, 0.01, 1e-6, 1e-15, 1e-30, 1e-100, 1e-200,
+                        1e-300):
                 r = resource_tradeoff(model, eps) / model.A
                 assert error_from_signal(model, r) == pytest.approx(
                     eps, rel=1e-12)
