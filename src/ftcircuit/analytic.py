@@ -326,7 +326,7 @@ def log10_logical_error(n: int, point: OperatingPoint) -> float:
 
 
 def _run_start(k: int, delta: float) -> int:
-    """The first odd n whose failure threshold is k or more, for k >= 1."""
+    """First odd n with failure threshold exactly k >= 1, for delta < 1/2."""
     # start from the real bound n > (k - 1)/delta; the float product in
     # failure_threshold settles the last bit
     n = int((k - 1) / delta) | 1
@@ -385,14 +385,12 @@ def required_code_size(eps_l_target: float, point: OperatingPoint) -> int:
         # a subnormal target overflows the guess's 1/eps_l
         raise ValueError(f"target must be in [{sys.float_info.min!r}, 1), "
                          f"got {eps_l_target}")
-    log10_target = math.log10(eps_l_target)
     log_target = math.log(eps_l_target)
     delta, f = point.delta, point.f
 
     @functools.cache
     def passes(k: int) -> bool:
-        return (log10_logical_error(_run_start(k, delta), point)
-                <= log10_target)
+        return log_binom_tail(_run_start(k, delta), f, k) <= log_target
 
     if passes(1):
         return 1

@@ -272,32 +272,26 @@ class BundleState:
 
         The superset sums of the law of a & b are the squares of those of
         the state; Moebius inversion recovers that law, and reversing the
-        array complements every wire.  Each shuffle pass folds bits 0 and
-        1 into a spare buffer (bit 0 alone in the last pass of an odd n):
-        with t_b = t[4j + b], the entry at b 2^(n-2) + j becomes c_b, where
-        c_0 = op(op(t_0, t_1), op(t_2, t_3)), c_1 = op(t_1, t_3),
-        c_2 = op(t_2, t_3) and c_3 = t_3, which rotates the two bits to
-        the top.  After the passes of one op every bit has been folded
-        once, bit 0 first, and every entry is back in place, having seen
-        the same operations in the same order as one in-place fold per
-        bit would give; each pass reads with stride 4 and writes
-        contiguously.
+        array complements every wire.  Each shuffle pass folds the w =
+        min(2, n - bit) low bits into a spare buffer, rotating them to the
+        top: with t as (m, w, 2) and the spare as (w, 2, m), entry (j, a, b)
+        moves to (a, b, j), op(t[j, a, 0], t[j, a, 1]) lands at b = 0 (bit
+        `bit`), and for w = 2 op of the halves a = 0 and 1 folds bit
+        `bit + 1` in place.  After the passes of one op every bit has been
+        folded once, bit 0 first, and every entry is back in place, having
+        seen the same operations in the same order as one in-place fold per
+        bit; each pass reads with stride 2w and writes contiguously.
         """
         t = self.probs.copy()
         spare = np.empty_like(t)
         for op in (np.add, np.subtract):
             for bit in range(0, self.n, 2):
-                if bit + 1 < self.n:
-                    quads, out = t.reshape(-1, 4), spare.reshape(4, -1)
-                    op(quads[:, 0], quads[:, 1], out=out[0])
-                    op(quads[:, 2], quads[:, 3], out=out[2])
-                    op(out[0], out[2], out=out[0])
-                    op(quads[:, 1], quads[:, 3], out=out[1])
-                    out[3] = quads[:, 3]
-                else:
-                    pairs, out = t.reshape(-1, 2), spare.reshape(2, -1)
-                    op(pairs[:, 0], pairs[:, 1], out=out[0])
-                    out[1] = pairs[:, 1]
+                w = min(2, self.n - bit)
+                quads, out = t.reshape(-1, w, 2).T, spare.reshape(w, 2, -1)
+                op(quads[0], quads[1], out=out[:, 0])
+                out[:, 1] = quads[1]
+                if w == 2:
+                    op(out[0], out[1], out=out[0])
                 t, spare = spare, t
             if op is np.add:
                 t *= t

@@ -204,9 +204,9 @@ def phase_grid(t: TailModel, axis1: str, values1, axis2: str, values2,
     fixed supplies the rest (eps_p, eps_l, delta, depth, chi; a w_p or
     gamma there overrides the model's) and may not hold an axis; eps_p
     and eps_l must each be fixed or an axis, and delta may be "optimal".
-    Cells where the amplification window of eps_p does not exist, or
-    eps_l >= eps_p, are marked invalid with eta = nan; an eps_l <= 0,
-    like a chi outside (0, 1], is refused before any cell.
+    Cells whose eps_p has no window, or none amplifying a fixed delta,
+    or with eps_l >= eps_p are invalid (eta = nan); an eps_l <= 0, a chi
+    outside (0, 1] or a fixed delta outside [0, 1/2) is refused up front.
     """
     for axis in (axis1, axis2):
         if axis not in GRID_AXES:
@@ -231,13 +231,20 @@ def phase_grid(t: TailModel, axis1: str, values1, axis2: str, values2,
         if not eps_l > 0.0:
             raise ValueError(f"eps_l must be > 0, got {eps_l}")
     delta = fixed.get("delta", "optimal")
+    if delta != "optimal":
+        delta = float(delta)
+        analytic.check_rate("delta", delta)
 
-    # one window per eps_p, and one operating point per eps_p with a valid
-    # cell; the code size depends only on (eps_l, eps_p), so cells that
-    # differ only in w_p or gamma share one search
-    window = functools.cache(
-        lambda eps_p: analytic.fixed_points(depth, eps_p))
-    point = functools.cache(lambda eps_p: window(eps_p).point(delta))
+    # one window and operating point (or None) per eps_p; n depends only
+    # on (eps_l, eps_p), so cells that differ in w_p or gamma share it
+    @functools.cache
+    def point(eps_p):
+        window = analytic.fixed_points(depth, eps_p)  # checks eps_p
+        try:
+            return window.point(delta)
+        except ValueError:  # no window, or delta outside it
+            return None
+
     size = functools.cache(lambda eps_l, eps_p: analytic.required_code_size(
         eps_l, point(eps_p)))
     invalid = OverheadReport(math.nan, math.nan, math.nan, 0, REGIME_INVALID)
@@ -247,7 +254,7 @@ def phase_grid(t: TailModel, axis1: str, values1, axis2: str, values2,
         eps_p, eps_l = float(cell["eps_p"]), float(cell["eps_l"])
         model = replace(t, **{k: float(cell[k]) for k in ("w_p", "gamma")
                               if k in cell})
-        if not window(eps_p).exists or eps_l >= eps_p:
+        if point(eps_p) is None or eps_l >= eps_p:
             return invalid
         return _overhead_report(model, eps_l, point(eps_p), chi,
                                 size(eps_l, eps_p))

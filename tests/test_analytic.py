@@ -171,6 +171,36 @@ def test_pseudothreshold_matches_bisection_oracle(depth):
                - bisection_pseudothreshold(depth)) <= 1e-7
 
 
+def test_pseudothreshold_refuses_a_newton_solve_out_of_iterations(
+        monkeypatch):
+    # one tangency step from delta = 0.2 does not converge, and one eps_p
+    # step, a bisection of [0, 0.03], leaves the bracket wide
+    monkeypatch.setattr(analytic, "_NEWTON_ITERATIONS", 1)
+    assert analytic._tangency(2, 0.03, 0.2) is None
+    with pytest.raises(RuntimeError, match=r"depth-2 pseudothreshold Newton "
+                       r"iteration did not converge \(at 0\.015\)"):
+        pseudothreshold(2)
+
+
+@pytest.mark.parametrize("depth", [2, 4, 6])
+def test_pseudothreshold_by_bisection_alone(monkeypatch, depth):
+    # with no tangency solve, eps_p bisects [0, 1/4] by the window search
+    # until the bracket is narrow, and lands where Newton does
+    newton = pseudothreshold(depth)
+    monkeypatch.setattr(analytic, "_tangency", lambda *args: None)
+    assert abs(pseudothreshold(depth) - newton) <= 1e-13
+
+
+def test_pseudothreshold_refuses_a_tangency_off_the_window_edge(
+        monkeypatch):
+    # a window search that finds no window on either side
+    monkeypatch.setattr(analytic, "_min_gap",
+                        lambda depth, eps_p: (0.1, 1.0, None))
+    with pytest.raises(RuntimeError,
+                       match="is not the depth-2 window edge"):
+        pseudothreshold(2)
+
+
 @pytest.mark.parametrize("depth", [2, 4, 6, 8])
 def test_stage_error_derivatives_match_central_differences(depth):
     def f(eps_p, delta):
@@ -447,6 +477,16 @@ def test_required_code_size_reaches_the_smallest_normal_target():
     for target in (sys.float_info.min / 2, 5e-324, 0.0, 1.0):
         with pytest.raises(ValueError, match="target must be in"):
             required_code_size(target, point)
+
+
+def test_run_start_meets_exactly_its_threshold():
+    # each step of 2 raises delta n by 2 delta < 1, so the first odd n
+    # whose threshold reaches k has threshold k
+    for delta in np.arange(0.001, 0.4995, 0.002):
+        for k in (*range(1, 40), *range(40, 3001, 37)):
+            n = analytic._run_start(k, delta)
+            assert analytic.failure_threshold(n, delta) == k, (delta, k)
+            assert n == 1 or analytic.failure_threshold(n - 2, delta) < k
 
 
 def plain_bisection_code_size(eps_l: float,

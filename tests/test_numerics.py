@@ -167,6 +167,13 @@ def test_bisect_raises_when_out_of_iterations():
     assert 0.5 * (a + b) == pytest.approx(0.3, abs=1e-10)
 
 
+def test_bisect_returns_the_bracket_of_its_last_halving():
+    # the 200th halving is the first to reach tol; no iteration is left to
+    # see it, so the bracket is returned after the loop
+    assert bisect(lambda x: x - 2.0**-300, 0.0, 1.0,
+                  tol=2.0**-200) == (0.0, 2.0**-200)
+
+
 @pytest.mark.parametrize("f,lo,hi", [
     (lambda x: x - 0.3, 0.0, 1.0),           # rising
     (math.cos, 0.0, 3.0),                    # falling

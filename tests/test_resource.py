@@ -290,6 +290,42 @@ def test_phase_grid_fixed_delta_matches_overhead_ratio():
             assert grid.eta_asymptotic[i][j] == report.eta_asymptotic
 
 
+def test_phase_grid_marks_cells_whose_window_misses_a_fixed_delta():
+    # delta = 0.11 lies in the depth-2 windows of eps_p = 0.003, 0.005 and
+    # 0.007, and above that of 0.009, about (0.0418, 0.1057)
+    model = TailModel(PARETO, w_p=300.0)
+    eps_ps, eps_ls = [0.003, 0.005, 0.007, 0.009], [1e-20, 1e-15]
+    grid = phase_grid(model, "eps_p", eps_ps, "eps_l", eps_ls,
+                      {"chi": 0.47, "delta": 0.11})
+    assert analytic.fixed_points(2, 0.009).delta_hi < 0.11
+    assert grid.regime[3] == (REGIME_INVALID,) * 2
+    assert all(math.isnan(eta) for eta in grid.eta_exact[3])
+    for i, eps_p in enumerate(eps_ps[:3]):
+        point = analytic.fixed_points(2, eps_p).point(0.11)
+        for j, eps_l in enumerate(eps_ls):
+            report = overhead_ratio(model, eps_l, point, 0.47)
+            assert grid.eta_exact[i][j] == report.eta
+            assert grid.eta_asymptotic[i][j] == report.eta_asymptotic
+            assert grid.regime[i][j] == report.regime != REGIME_INVALID
+
+
+@pytest.mark.parametrize("delta, message", [
+    (0.6, r"delta must be in \[0, 1/2\), got 0\.6"),
+    ("abc", "could not convert string to float: 'abc'"),
+])
+def test_phase_grid_refuses_a_fixed_delta_outside_its_domain(
+        monkeypatch, delta, message):
+    # refused before any cell, not by a window or the code-size search
+    def no_cell(*args):
+        raise AssertionError("a cell was reached")
+
+    monkeypatch.setattr(analytic, "fixed_points", no_cell)
+    monkeypatch.setattr(analytic, "required_code_size", no_cell)
+    with pytest.raises(ValueError, match=message):
+        phase_grid(TailModel(PARETO), "eps_p", [0.005], "eps_l", [1e-10],
+                   {"chi": 0.47, "delta": delta})
+
+
 def test_phase_grid_gaussian_all_non_ft_when_wp_large():
     model = TailModel(GAUSSIAN)
     grid = phase_grid(model, "eps_p", [0.003, 0.005],
